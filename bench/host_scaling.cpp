@@ -3,8 +3,8 @@
 //
 // Measures the production shape behind ROADMAP item 1: one immutable
 // ModelBundle, N concurrent streams hashed across S shard worker threads,
-// bounded SPSC ingest rings between the producer and the workers. Two
-// workloads run per shard count:
+// one bounded SPSC ingest queue per shard between the producer and the
+// shard's worker. Two workloads run per shard count:
 //
 //   * small: `--streams` full gesture streams via run_round_robin (the
 //     latency-ish shape the old bench measured), best-of `--rounds`;

@@ -123,7 +123,7 @@ void feed_pooled(core::MultiSessionHost& host,
     }
   };
   const std::size_t shards = host.shard_count();
-  if (shards < 2) {  // inline mode: single feeder only (shared drain scratch)
+  if (shards < 2) {  // inline mode: single feeder only (drains on the caller)
     feed_lanes(0, 1);
     return;
   }

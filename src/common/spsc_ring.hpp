@@ -1,15 +1,15 @@
 // Bounded single-producer / single-consumer ring buffer.
 //
-// The serving host's ingest lanes need a queue that is (a) fixed-capacity —
-// admission control wants a hard bound, and the steady-state path must not
-// allocate — and (b) wait-free on both ends for exactly one producer and
-// one consumer thread. This is the classic Lamport ring with monotonically
-// increasing 64-bit positions (slot = position % capacity, so capacity does
-// not need to be a power of two) plus the standard refinement of caching
-// the opposite end's position: the producer re-reads the consumer's `head_`
-// only when its cached copy says the ring looks full, and the consumer
-// re-reads `tail_` only when it looks empty, so steady-state pushes and
-// pops touch a single shared atomic each.
+// The serving host's per-shard ingest queues need a queue that is (a)
+// fixed-capacity — admission control wants a hard bound, and the
+// steady-state path must not allocate — and (b) wait-free on both ends for
+// exactly one producer and one consumer thread. This is the classic Lamport
+// ring with monotonically increasing 64-bit positions (slot = position
+// modulo capacity, so capacity does not need to be a power of two) plus the
+// standard refinement of caching the opposite end's position: the producer
+// re-reads the consumer's `head_` only when its cached copy says the ring
+// looks full, and the consumer re-reads `tail_` only when it looks empty,
+// so steady-state pushes and pops touch a single shared atomic each.
 //
 // Memory ordering contract: the producer writes payload slots and then
 // publishes them with a release store of `tail_`; the consumer acquires
@@ -18,24 +18,19 @@
 // pattern TSan verifies on the obs::EventRing tests, here with two threads.
 //
 // Bulk operations are all-or-nothing: `try_push(span)` either enqueues the
-// whole span or nothing, which is how the host keeps multi-channel frames
-// frame-aligned in a ring of doubles (capacity a multiple of the channel
-// count, pushes and pops always one frame wide).
-//
-// Optional ingest stamps: constructed with `stamp_stride` == the span
-// width, the ring keeps one uint64 side-slot per span position, written by
-// `try_push(values, stamp)` and read back by `try_pop(out, &stamp)`. The
-// stamp is published by the same release store of `tail_` that publishes
-// the payload, so the consumer's acquire covers both. The host stamps each
-// frame with its ingest tick at feed() time, which is what turns ring
-// residency into the measured queue_wait stage (DESIGN.md §18). Stride 0
-// (the default) allocates no stamp storage and changes nothing.
+// whole span or nothing, which is how the host keeps fixed-width records
+// aligned in a ring of words (capacity a multiple of the record width,
+// pushes and pops always one record wide). Each end also keeps its
+// position's slot index, advanced by the span width and wrapped by one
+// subtraction, so a transfer divides nothing: it copies in at most two
+// contiguous pieces (the second only when it wraps past the buffer end).
 //
 // Not a general MPMC queue: exactly one thread may push and exactly one
 // may pop at a time. Ownership of an end may migrate between threads only
 // through an external happens-before edge (the host's park/unpark mutex).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -53,21 +48,29 @@ class SpscRing {
                 "SpscRing requires nothrow-copyable elements");
 
  public:
-  /// Allocates storage for exactly `capacity` elements (>= 1), plus one
-  /// stamp slot per `stamp_stride`-wide span when a stride is given (the
-  /// capacity must then be a multiple of it). Construction is the only
-  /// allocation the ring ever performs.
-  explicit SpscRing(std::size_t capacity, std::size_t stamp_stride = 0)
-      : buffer_(capacity),
-        stamp_stride_(stamp_stride),
-        stamps_(stamp_stride == 0 ? 0 : capacity / stamp_stride) {
+  /// Allocates storage for exactly `capacity` elements (>= 1). Apart from
+  /// resize(), construction is the only allocation the ring performs.
+  explicit SpscRing(std::size_t capacity) : buffer_(capacity) {
     AF_EXPECT(capacity >= 1, "SpscRing capacity must be >= 1");
-    AF_EXPECT(stamp_stride == 0 || capacity % stamp_stride == 0,
-              "SpscRing stamp stride must divide the capacity");
   }
 
   std::size_t capacity() const { return buffer_.size(); }
-  std::size_t stamp_stride() const { return stamp_stride_; }
+
+  /// Re-sizes an empty ring to `capacity` elements (>= 1), re-using the
+  /// storage when it is large enough. Not thread-safe: the caller must own
+  /// both ends, with a happens-before edge to whichever threads take them
+  /// over next (the host grows a shard's queue at quiescence).
+  void resize(std::size_t capacity) {
+    AF_EXPECT(capacity >= 1, "SpscRing capacity must be >= 1");
+    AF_EXPECT(empty(), "SpscRing can only be resized while empty");
+    buffer_.resize(capacity);
+    tail_.store(0, std::memory_order_relaxed);
+    head_.store(0, std::memory_order_relaxed);
+    cached_head_ = 0;
+    cached_tail_ = 0;
+    tail_slot_ = 0;
+    head_slot_ = 0;
+  }
 
   /// Elements currently queued. Exact from either owning thread when the
   /// other end is quiescent; a consistent lower/upper bound while both
@@ -91,13 +94,7 @@ class SpscRing {
 
   /// Enqueues the whole span or nothing. Spans wider than the capacity can
   /// never fit and always fail.
-  bool try_push(std::span<const T> values) { return try_push(values, 0); }
-
-  /// Enqueues the whole span or nothing, recording `stamp` in the span's
-  /// stamp slot when the ring was constructed with a stride (the span must
-  /// then be exactly one stride wide). The stamp rides the same release
-  /// publish as the payload.
-  bool try_push(std::span<const T> values, std::uint64_t stamp) {
+  bool try_push(std::span<const T> values) {
     const std::size_t n = values.size();
     if (n == 0) return true;
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -105,15 +102,10 @@ class SpscRing {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (free_slots(tail) < n) return false;
     }
-    for (std::size_t i = 0; i < n; ++i)
-      buffer_[static_cast<std::size_t>((tail + i) % buffer_.size())] =
-          values[i];
-    if (stamp_stride_ != 0) {
-      AF_EXPECT(n == stamp_stride_,
-                "stamped pushes must be exactly one stride wide");
-      stamps_[static_cast<std::size_t>((tail / stamp_stride_) %
-                                       stamps_.size())] = stamp;
-    }
+    const std::size_t first = std::min(n, buffer_.size() - tail_slot_);
+    std::copy_n(values.begin(), first, buffer_.begin() + tail_slot_);
+    std::copy_n(values.begin() + first, n - first, buffer_.begin());
+    tail_slot_ = advance(tail_slot_, n);
     tail_.store(tail + n, std::memory_order_release);
     return true;
   }
@@ -124,12 +116,7 @@ class SpscRing {
   bool try_pop(T& out) { return try_pop(std::span<T>(&out, 1)); }
 
   /// Dequeues exactly `out.size()` elements or nothing.
-  bool try_pop(std::span<T> out) { return try_pop(out, nullptr); }
-
-  /// Dequeues exactly `out.size()` elements or nothing, also reading the
-  /// span's ingest stamp when `stamp` is non-null and the ring carries
-  /// stamps (the span must then be exactly one stride wide).
-  bool try_pop(std::span<T> out, std::uint64_t* stamp) {
+  bool try_pop(std::span<T> out) {
     const std::size_t n = out.size();
     if (n == 0) return true;
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
@@ -137,14 +124,10 @@ class SpscRing {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       if (queued(head) < n) return false;
     }
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = buffer_[static_cast<std::size_t>((head + i) % buffer_.size())];
-    if (stamp != nullptr && stamp_stride_ != 0) {
-      AF_EXPECT(n == stamp_stride_,
-                "stamped pops must be exactly one stride wide");
-      *stamp = stamps_[static_cast<std::size_t>((head / stamp_stride_) %
-                                                stamps_.size())];
-    }
+    const std::size_t first = std::min(n, buffer_.size() - head_slot_);
+    std::copy_n(buffer_.begin() + head_slot_, first, out.begin());
+    std::copy_n(buffer_.begin(), n - first, out.begin() + first);
+    head_slot_ = advance(head_slot_, n);
     head_.store(head + n, std::memory_order_release);
     return true;
   }
@@ -154,9 +137,12 @@ class SpscRing {
   std::size_t discard_all() {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     cached_tail_ = tail_.load(std::memory_order_acquire);
-    const std::uint64_t n = cached_tail_ - head;
-    if (n != 0) head_.store(cached_tail_, std::memory_order_release);
-    return static_cast<std::size_t>(n);
+    const auto n = static_cast<std::size_t>(cached_tail_ - head);
+    if (n != 0) {
+      head_slot_ = advance(head_slot_, n);
+      head_.store(cached_tail_, std::memory_order_release);
+    }
+    return n;
   }
 
  private:
@@ -166,9 +152,14 @@ class SpscRing {
   std::size_t queued(std::uint64_t head) const {
     return static_cast<std::size_t>(cached_tail_ - head);
   }
+  /// Slot `n` (<= capacity) elements past `slot`.
+  std::size_t advance(std::size_t slot, std::size_t n) const {
+    slot += n;
+    return slot >= buffer_.size() ? slot - buffer_.size() : slot;
+  }
 
   // Field layout is cache-line-conscious: the buffer header (read-only
-  // after construction) shares the leading line; each end then owns
+  // while either end is in use) shares the leading line; each end then owns
   // exactly one 64-byte line holding its published position *and* its
   // cached copy of the opposite position. A steady-state push touches the
   // producer line only (plus payload slots); a pop the consumer line —
@@ -176,21 +167,19 @@ class SpscRing {
   // the trailing line is padded out, whatever the containing object
   // places after the ring cannot false-share with the consumer's fields.
   std::vector<T> buffer_;
-  /// Stamp side-channel (read-only header + producer-written slots). One
-  /// uint64 per stride-wide span; empty when stride == 0. Written before
-  /// and published by the tail_ release store, read after the consumer's
-  /// acquire — never concurrently touched by both ends.
-  std::size_t stamp_stride_ = 0;
-  std::vector<std::uint64_t> stamps_;
   /// Producer line: tail_ is the producer position (monotone); elements
   /// [head_, tail_) are queued. cached_head_ is the producer's copy of
-  /// head_, refreshed only on apparent full.
+  /// head_, refreshed only on apparent full; tail_slot_ is tail_ %
+  /// capacity.
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   std::uint64_t cached_head_ = 0;
+  std::size_t tail_slot_ = 0;
   /// Consumer line: head_ is the consumer position (monotone);
-  /// cached_tail_ its copy of tail_, refreshed only on apparent empty.
+  /// cached_tail_ its copy of tail_, refreshed only on apparent empty;
+  /// head_slot_ is head_ % capacity.
   alignas(64) std::atomic<std::uint64_t> head_{0};
   std::uint64_t cached_tail_ = 0;
+  std::size_t head_slot_ = 0;
 };
 
 static_assert(alignof(SpscRing<double>) == 64 &&

@@ -2,36 +2,47 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <limits>
 #include <mutex>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/spsc_ring.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 
 namespace airfinger::core {
 
 namespace {
-/// Frames drained from one lane per worker sweep pass, so a deep backlog
-/// on one lane cannot starve its shard siblings' latency.
-constexpr std::size_t kSweepChunk = 256;
-constexpr std::size_t kAllFrames = std::numeric_limits<std::size_t>::max();
+/// A queue record is `kRecordHeader + channels` 64-bit words: the lane
+/// index, the feed()-time ingest stamp (0 when tracing is compiled out),
+/// then the frame's samples, bit-cast from double so they round-trip
+/// exactly.
+constexpr std::size_t kRecordHeader = 2;
 
 /// Wall clock for the shard telemetry and the ingest stamps. Deliberately
 /// NOT the session's injectable clock: queue wait and busy fractions
 /// describe real scheduling on this machine, are exposed only behind
 /// include_load_series, and must never add reads to the per-session
-/// clock sequence (which the determinism goldens pin).
-std::uint64_t host_now_ns() {
+/// clock sequence (which the determinism goldens pin). Unused when
+/// tracing is compiled out.
+[[maybe_unused]] std::uint64_t host_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-}  // namespace
+
+/// A lane's faulted flag is written by its consumer and polled by its
+/// feeder (see FeedSlot).
+bool load_flag(bool& flag) {
+  return std::atomic_ref<bool>(flag).load(std::memory_order_relaxed);
+}
+void raise_flag(bool& flag) {
+  std::atomic_ref<bool>(flag).store(true, std::memory_order_relaxed);
+}
 
 // ------------------------------------------------------- shard telemetry
 
@@ -42,7 +53,7 @@ std::uint64_t host_now_ns() {
 /// shard-index-named (there are no labels) and merged into
 /// aggregate_metrics() only under include_load_series, keeping the default
 /// exposition shard-count-invariant.
-struct MultiSessionHost::ShardStats {
+struct ShardStats {
   obs::Registry registry;
   obs::Registry::Handle parks, unparks, frames_drained, drain_batches,
       idle_passes, busy_ns, parked_ns;
@@ -56,77 +67,84 @@ struct MultiSessionHost::ShardStats {
                                "Times this shard's worker was woken.");
     frames_drained =
         registry.counter(p + "frames_drained_total",
-                         "Frames this shard pulled off its lanes' rings.");
-    drain_batches =
-        registry.counter(p + "drain_batches_total",
-                         "Per-lane drain sweeps that found queued frames.");
-    idle_passes =
-        registry.counter(p + "idle_passes_total",
-                         "Full sweeps over the shard's lanes that found "
-                         "nothing queued.");
+                         "Frames this shard popped off its ingest queue.");
+    drain_batches = registry.counter(
+        p + "drain_batches_total",
+        "Batches popped: the records found queued at one look.");
+    idle_passes = registry.counter(
+        p + "idle_passes_total",
+        "Looks at the shard's queue that found nothing queued.");
     busy_ns = registry.counter(
         p + "busy_ns_total",
-        "Wall nanoseconds spent inside draining sweeps.");
+        "Wall nanoseconds spent inside draining batches.");
     parked_ns = registry.counter(
         p + "parked_ns_total",
         "Wall nanoseconds spent parked waiting for frames.");
     batch_hist = registry.histogram(
         p + "drain_batch_frames",
-        "Frames consumed per non-empty per-lane drain sweep.",
+        "Frames consumed per non-empty batch.",
         obs::HistogramSpec{1.0, 1024.0, 20});
     wait_hist = registry.histogram(
         p + "queue_wait_ns",
-        "Ring residency of the oldest frame in each drained batch, from "
-        "its feed()-time ingest stamp.",
+        "Queue residency of the oldest frame in each batch, from its "
+        "feed()-time ingest stamp.",
         obs::HistogramSpec{});
   }
 };
+}  // namespace
 
 // --------------------------------------------------------------- shard
 
-/// One worker shard: the lanes it owns (lane index % shard count) and the
-/// park/unpark synchronization between its worker thread, the producer's
-/// feed(), and the host's quiesce().
+/// One shard: its ingest queue, the producer's and the consumer's scratch,
+/// and the park/unpark synchronization between its worker thread, the
+/// shard's feeder, and the host's quiesce(). Inline mode keeps shard 0
+/// with no worker: the caller is its consumer.
 ///
 /// The parking protocol is a Dekker handshake over the `parked` flag: the
-/// worker sets `parked`, issues a seq_cst fence, and re-checks its rings —
-/// while the producer pushes a frame, issues a seq_cst fence, and checks
+/// worker sets `parked`, issues a seq_cst fence, and re-checks the queue —
+/// while the feeder pushes a record, issues a seq_cst fence, and checks
 /// `parked`. The paired fences guarantee at least one side sees the other,
-/// so a frame can never land unseen in a parked shard's ring (no lost
+/// so a record can never land unseen in a parked shard's queue (no lost
 /// wakeup) and the worker never parks while work is visible. The mutex is
 /// only taken when a park or unpark actually happens — the steady-state
 /// feed/drain path is lock-free.
 struct MultiSessionHost::Shard {
-  std::vector<Lane*> owned;  ///< Mutated only while the worker is parked.
+  Shard(std::size_t index, std::size_t frames, std::size_t channels)
+      : queue(frames * (kRecordHeader + channels)),
+        push_record(kRecordHeader + channels),
+        pop_record(kRecordHeader + channels),
+        frame(channels),
+        stats(index) {}
+
+  /// Records of pop_record.size() words; capacity is ring_frames records
+  /// per lane hashed to the shard.
+  common::SpscRing<std::uint64_t> queue;
+
+  // ---- producer side: the shard's one feeder.
+  alignas(64) std::vector<std::uint64_t> push_record;  ///< Assembly scratch.
+
+  // ---- consumer side: the worker (inline mode: the caller).
+  alignas(64) std::vector<std::uint64_t> pop_record;
+  std::vector<double> frame;   ///< Decoded samples of pop_record.
+  std::size_t high_water = 0;  ///< Largest batch, in frames.
+  ShardStats stats;            ///< Consumer-written telemetry.
+
   std::mutex m;
   std::condition_variable cv;       ///< Wakes the parked worker.
   std::condition_variable idle_cv;  ///< Wakes quiesce().
   bool stop = false;                ///< Guarded by m.
-  std::vector<double> frame;        ///< Worker-side pop scratch (channels).
-  ShardStats* stats = nullptr;      ///< Worker-written telemetry block.
 
-  // Blocked producers spin-poll `parked` while the worker reads `owned` /
-  // `frame` headers every pop; its own line (and the alignas-rounded
-  // sizeof) keeps that polling off the worker's hot fields and off the
-  // neighbouring shard in the shard array.
+  // Blocked feeders spin-poll `parked`; its own line keeps that polling
+  // off the consumer's fields and off the next shard in the array.
   alignas(64) std::atomic<bool> parked{false};
-
-  bool rings_empty() const {
-    for (const Lane* lane : owned)
-      if (!lane->ring.empty()) return false;
-    return true;
-  }
 };
 
 // ---------------------------------------------------------------- lane
 
 MultiSessionHost::Lane::Lane(std::size_t idx,
                              std::shared_ptr<const ModelBundle> bundle,
-                             FaultPolicy policy, std::size_t ring_capacity,
-                             std::size_t stamp_stride)
-    : index(idx),
-      ring(ring_capacity, stamp_stride),
-      session(std::in_place, std::move(bundle), policy) {
+                             FaultPolicy policy)
+    : index(idx), session(std::in_place, std::move(bundle), policy) {
   events.reserve(16);
   sink = [this](const GestureEvent& e) {
     events.push_back(SessionEvent{index, e});
@@ -157,144 +175,123 @@ MultiSessionHost::MultiSessionHost(std::shared_ptr<const ModelBundle> bundle,
   AF_EXPECT(sessions >= 1, "MultiSessionHost requires at least one session");
   AF_EXPECT(config_.ring_frames >= 1,
             "MultiSessionHost ring capacity must be >= 1 frame");
-  const std::size_t channels = bundle_->config().channels;
-  scratch_frame_.resize(channels);
+  channels_ = bundle_->config().channels;
 
   shard_count_ = config_.shards != 0 ? config_.shards
                                      : common::current_thread_count();
   shard_count_ = std::clamp<std::size_t>(shard_count_, 1, sessions);
 
-  // Ingest stamps cost one uint64 per ring frame; only pay for them when
-  // the tracing layer that reads them back is compiled in.
-  const std::size_t stamp_stride = AF_OBS_TRACE_ENABLED ? channels : 0;
   lanes_.reserve(sessions);
-  for (std::size_t i = 0; i < sessions; ++i)
-    lanes_.push_back(std::make_unique<Lane>(
-        i, bundle_, policy_, config_.ring_frames * channels, stamp_stride));
+  feed_slots_.resize(sessions);
+  for (std::size_t i = 0; i < sessions; ++i) {
+    lanes_.push_back(std::make_unique<Lane>(i, bundle_, policy_));
+    feed_slots_[i].shard = static_cast<std::uint32_t>(i % shard_count_);
+  }
 
-  shard_stats_.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s)
-    shard_stats_.push_back(std::make_unique<ShardStats>(s));
-
-  if (shard_count_ < 2) return;  // inline mode: no worker threads at all
   shards_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->frame.resize(channels);
-    shard->stats = shard_stats_[s].get();
-    shards_.push_back(std::move(shard));
+    const std::size_t lanes = (sessions - s + shard_count_ - 1) / shard_count_;
+    shards_.push_back(
+        std::make_unique<Shard>(s, config_.ring_frames * lanes, channels_));
   }
-  for (std::size_t i = 0; i < sessions; ++i)
-    shards_[i % shard_count_]->owned.push_back(lanes_[i].get());
+
+  if (shard_count_ < 2) return;  // inline mode: no worker threads at all
   workers_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s)
     workers_.emplace_back([this, s] { worker_loop(*shards_[s]); });
 }
 
 MultiSessionHost::~MultiSessionHost() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->m);
-    shard->stop = true;
-    shard->parked.store(false, std::memory_order_relaxed);
-    shard->cv.notify_one();
+  for (std::size_t s = 0; s < workers_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.m);
+    shard.stop = true;
+    shard.parked.store(false, std::memory_order_relaxed);
+    shard.cv.notify_one();
   }
   for (auto& worker : workers_) worker.join();
 }
 
 // ------------------------------------------------------- worker / drain
 
-std::size_t MultiSessionHost::drain_lane(Lane& lane, std::span<double> frame,
-                                         std::size_t max_frames,
-                                         ShardStats* stats) {
-  const std::size_t channels = frame.size();
-  if (lane.faulted.load(std::memory_order_relaxed) || lane.retired) {
-    // Quarantined or retired: the ring is a sink. Count what the lane can
-    // no longer process so dropped totals stay exact.
-    const std::size_t frames = lane.ring.discard_all() / channels;
-    lane.dropped_consumer += frames;
-    return frames;
-  }
-  std::size_t consumed = 0;
-  std::uint64_t oldest_stamp = 0;
-  while (consumed < max_frames &&
-         lane.ring.try_pop(frame, consumed == 0 ? &oldest_stamp : nullptr)) {
-    ++consumed;
+std::size_t MultiSessionHost::drain_queue(Shard& shard) const {
+  const std::size_t batch = shard.queue.size() / shard.pop_record.size();
+  if (batch == 0) return 0;
+  shard.high_water = std::max(shard.high_water, batch);
+#if AF_OBS_TRACE_ENABLED
+  ShardStats& stats = shard.stats;
+  const std::uint64_t t0 = host_now_ns();
+#endif
+  for (std::size_t k = 0; k < batch; ++k) {
+    shard.queue.try_pop(shard.pop_record);  // cannot fail: `batch` queued
+    const std::uint64_t* record = shard.pop_record.data();
+#if AF_OBS_TRACE_ENABLED
+    // One queue-wait sample per batch: its first (oldest) record, which
+    // bounds the residency of everything behind it.
+    if (k == 0 && record[1] != 0)
+      stats.registry.observe(
+          stats.wait_hist,
+          t0 > record[1] ? static_cast<double>(t0 - record[1]) : 0.0);
+#endif
+    const auto index = static_cast<std::size_t>(record[0]);
+    Lane& lane = *lanes_[index];
+    FeedSlot& slot = feed_slots_[index];
+    if (slot.retired || load_flag(slot.faulted)) {
+      // Quarantined or retired: count what the lane can no longer process
+      // so dropped totals stay exact.
+      ++lane.dropped;
+      continue;
+    }
+    for (std::size_t c = 0; c < shard.frame.size(); ++c)
+      shard.frame[c] = std::bit_cast<double>(record[kRecordHeader + c]);
+    // Quarantine this lane only; shard siblings never observe the fault.
+    // Latch the session's flight recorder first: the last-N events and
+    // traces around the throwing frame are the post-mortem artifact.
+    const auto quarantine = [&](std::string fault) {
+      lane.session->observability().capture_postmortem(
+          obs::FlightReason::kLaneFault, lane.processed);
+      lane.fault = std::move(fault);
+      raise_flag(slot.faulted);
+      ++lane.dropped;  // the frame that threw
+    };
     try {
-      lane.session->push_frame(frame, lane.sink);
+      lane.session->push_frame(shard.frame, lane.sink);
       ++lane.processed;
     } catch (const std::exception& e) {
-      // Quarantine this lane only; shard siblings never observe the fault.
-      // Latch the session's flight recorder first: the last-N events and
-      // traces around the throwing frame are the post-mortem artifact.
-      lane.session->observability().capture_postmortem(
-          obs::FlightReason::kLaneFault, lane.processed);
-      lane.fault = e.what();
-      lane.faulted.store(true, std::memory_order_relaxed);
-      ++lane.dropped_consumer;  // the frame that threw
-      lane.dropped_consumer += lane.ring.discard_all() / channels;
-      break;
+      quarantine(e.what());
     } catch (...) {
-      lane.session->observability().capture_postmortem(
-          obs::FlightReason::kLaneFault, lane.processed);
-      lane.fault = "unknown stream fault";
-      lane.faulted.store(true, std::memory_order_relaxed);
-      ++lane.dropped_consumer;
-      lane.dropped_consumer += lane.ring.discard_all() / channels;
-      break;
+      quarantine("unknown stream fault");
     }
   }
 #if AF_OBS_TRACE_ENABLED
-  if (stats != nullptr && consumed != 0) {
-    // One queue-wait sample per non-empty batch: the first (oldest) frame
-    // popped, which bounds the residency of everything behind it.
-    if (oldest_stamp != 0) {
-      const std::uint64_t now = host_now_ns();
-      stats->registry.observe(
-          stats->wait_hist,
-          now > oldest_stamp ? static_cast<double>(now - oldest_stamp)
-                             : 0.0);
-    }
-    stats->registry.inc(stats->frames_drained, consumed);
-    stats->registry.inc(stats->drain_batches);
-    stats->registry.observe(stats->batch_hist,
-                            static_cast<double>(consumed));
-  }
-#else
-  (void)stats;
-  (void)oldest_stamp;
+  stats.registry.inc(stats.frames_drained, batch);
+  stats.registry.inc(stats.drain_batches);
+  stats.registry.observe(stats.batch_hist, static_cast<double>(batch));
+  stats.registry.inc(stats.busy_ns, host_now_ns() - t0);
 #endif
-  return consumed;
+  return batch;
 }
 
 void MultiSessionHost::worker_loop(Shard& shard) {
-  ShardStats* stats = shard.stats;
+  [[maybe_unused]] ShardStats& stats = shard.stats;
   for (;;) {
+    if (drain_queue(shard) != 0) continue;
 #if AF_OBS_TRACE_ENABLED
-    const std::uint64_t sweep_t0 = host_now_ns();
+    stats.registry.inc(stats.idle_passes);
 #endif
-    std::size_t did = 0;
-    for (Lane* lane : shard.owned)
-      did += drain_lane(*lane, shard.frame, kSweepChunk, stats);
-#if AF_OBS_TRACE_ENABLED
-    if (did != 0)
-      stats->registry.inc(stats->busy_ns, host_now_ns() - sweep_t0);
-    else
-      stats->registry.inc(stats->idle_passes);
-#endif
-    if (did != 0) continue;
 
     std::unique_lock<std::mutex> lock(shard.m);
     if (shard.stop) return;
     shard.parked.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!shard.rings_empty()) {
-      // A frame raced in between the sweep and the park: un-park and go
+    if (!shard.queue.empty()) {
+      // A record raced in between the drain and the park: un-park and go
       // get it (the fence pairing with feed() makes this check reliable).
       shard.parked.store(false, std::memory_order_relaxed);
       continue;
     }
 #if AF_OBS_TRACE_ENABLED
-    stats->registry.inc(stats->parks);
+    stats.registry.inc(stats.parks);
     const std::uint64_t park_t0 = host_now_ns();
 #endif
     shard.idle_cv.notify_all();
@@ -302,8 +299,8 @@ void MultiSessionHost::worker_loop(Shard& shard) {
       return shard.stop || !shard.parked.load(std::memory_order_relaxed);
     });
 #if AF_OBS_TRACE_ENABLED
-    stats->registry.inc(stats->parked_ns, host_now_ns() - park_t0);
-    stats->registry.inc(stats->unparks);
+    stats.registry.inc(stats.parked_ns, host_now_ns() - park_t0);
+    stats.registry.inc(stats.unparks);
 #endif
     if (shard.stop) return;
   }
@@ -312,10 +309,8 @@ void MultiSessionHost::worker_loop(Shard& shard) {
 void MultiSessionHost::quiesce() const {
   if (workers_.empty()) {
     // Inline mode: the caller is the consumer, so the barrier IS the
-    // drain (through the lanes' own indirection; see the header note).
-    for (const auto& lane : lanes_)
-      drain_lane(*lane, scratch_frame_, kAllFrames,
-                 shard_stats_.front().get());
+    // drain (through the shard's own indirection; see the header note).
+    drain_queue(*shards_.front());
     return;
   }
   for (const auto& shard_ptr : shards_) {
@@ -323,7 +318,7 @@ void MultiSessionHost::quiesce() const {
     std::unique_lock<std::mutex> lock(shard.m);
     shard.idle_cv.wait(lock, [&] {
       return shard.parked.load(std::memory_order_relaxed) &&
-             shard.rings_empty();
+             shard.queue.empty();
     });
   }
 }
@@ -332,66 +327,66 @@ void MultiSessionHost::quiesce() const {
 
 bool MultiSessionHost::feed(std::size_t session,
                             std::span<const double> frame) {
-  AF_EXPECT(session < lanes_.size(), "session index out of range");
-  AF_EXPECT(frame.size() == bundle_->config().channels,
+  AF_EXPECT(session < feed_slots_.size(), "session index out of range");
+  AF_EXPECT(frame.size() == channels_,
             "frame carries " + std::to_string(frame.size()) +
                 " samples but the host expects " +
-                std::to_string(bundle_->config().channels) + " channels");
-  Lane& lane = *lanes_[session];
-  if (lane.retired) {
-    ++lane.rejected;
+                std::to_string(channels_) + " channels");
+  FeedSlot& slot = feed_slots_[session];
+  if (slot.retired) {
+    ++slot.rejected;
     return false;
   }
-  if (lane.faulted.load(std::memory_order_relaxed)) {
+  if (load_flag(slot.faulted)) {
     // Isolation: the producer keeps streaming; the lane just counts what
     // it can no longer process.
-    ++lane.dropped_producer;
+    ++slot.dropped;
     return false;
   }
 
+  Shard& shard = *shards_[slot.shard];
+  std::uint64_t* record = shard.push_record.data();
+  record[0] = session;
 #if AF_OBS_TRACE_ENABLED
-  // Ingest stamp: rides the ring's side-channel so the consumer can turn
-  // this frame's ring residency into the measured queue_wait stage.
-  const std::uint64_t ingest_tick = host_now_ns();
-#else
-  const std::uint64_t ingest_tick = 0;  // stride 0: the ring ignores it
+  // Ingest stamp: lets the consumer turn this record's queue residency
+  // into the measured queue_wait stage.
+  record[1] = host_now_ns();
 #endif
+  for (std::size_t c = 0; c < channels_; ++c)
+    record[kRecordHeader + c] = std::bit_cast<std::uint64_t>(frame[c]);
 
   if (workers_.empty()) {
-    // Inline mode: the caller is the consumer. A full ring under kBlock is
-    // drained in place (deterministic: this lane's frames in feed order).
-    if (!lane.ring.try_push(frame, ingest_tick)) {
+    // Inline mode: the caller is the consumer. A full queue under kBlock
+    // is drained in place (deterministic: every lane's frames in feed
+    // order).
+    if (!shard.queue.try_push(shard.push_record)) {
       if (config_.admission == Admission::kReject) {
-        ++lane.rejected;
+        ++slot.rejected;
         return false;
       }
-      ++lane.blocked;
-      drain_lane(lane, scratch_frame_, kAllFrames,
-                 shard_stats_.front().get());
-      if (lane.faulted.load(std::memory_order_relaxed)) {
-        ++lane.dropped_producer;
+      ++slot.blocked;
+      drain_queue(shard);
+      if (load_flag(slot.faulted)) {
+        ++slot.dropped;
         return false;
       }
-      // Ring was just emptied; cannot fail.
-      lane.ring.try_push(frame, ingest_tick);
+      // The queue was just emptied; cannot fail.
+      shard.queue.try_push(shard.push_record);
     }
-    lane.high_water =
-        std::max(lane.high_water, lane.ring.size() / frame.size());
     return true;
   }
 
-  Shard& shard = *shards_[session % shard_count_];
-  if (!lane.ring.try_push(frame, ingest_tick)) {
+  if (!shard.queue.try_push(shard.push_record)) {
     if (config_.admission == Admission::kReject) {
-      ++lane.rejected;
+      ++slot.rejected;
       return false;
     }
     // Lossless backpressure: wait for the shard worker to make room. The
-    // worker cannot be parked while this ring is full (it only parks on
-    // empty rings, and the fence pairing below closes the race), so spin
-    // and yield rather than sleep — but re-wake it defensively anyway in
-    // case it parked between our failed push and now.
-    ++lane.blocked;
+    // worker cannot be parked while this queue is full (it only parks on
+    // an empty queue, and the fence pairing below closes the race), so
+    // spin and yield rather than sleep — but re-wake it defensively anyway
+    // in case it parked between our failed push and now.
+    ++slot.blocked;
     std::size_t spins = 0;
     for (;;) {
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -400,17 +395,16 @@ bool MultiSessionHost::feed(std::size_t session,
         shard.parked.store(false, std::memory_order_relaxed);
         shard.cv.notify_one();
       }
-      if (lane.faulted.load(std::memory_order_relaxed)) {
-        // The lane died while we waited; its ring is being discarded.
-        ++lane.dropped_producer;
+      if (load_flag(slot.faulted)) {
+        // The lane died while we waited; its queued records are being
+        // discarded.
+        ++slot.dropped;
         return false;
       }
-      if (lane.ring.try_push(frame, ingest_tick)) break;
+      if (shard.queue.try_push(shard.push_record)) break;
       if (++spins >= 64) std::this_thread::yield();
     }
   }
-  lane.high_water =
-      std::max(lane.high_water, lane.ring.size() / frame.size());
 
   // Dekker publish: make the push visible to a parking worker, or see its
   // parked flag — one of the two is guaranteed (see Shard).
@@ -427,20 +421,21 @@ void MultiSessionHost::pump() { quiesce(); }
 
 void MultiSessionHost::finish() {
   quiesce();
-  // All workers are parked (streaming) or all rings drained (inline), so
-  // the caller owns every lane's consumer side until the next feed().
-  for (auto& lane_ptr : lanes_) {
-    Lane& lane = *lane_ptr;
-    if (lane.retired || lane.faulted.load(std::memory_order_relaxed))
-      continue;
+  // All workers are parked with empty queues (streaming) or the queue was
+  // drained (inline), so the caller owns every lane's consumer side until
+  // the next feed().
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    Lane& lane = *lanes_[i];
+    FeedSlot& slot = feed_slots_[i];
+    if (slot.retired || load_flag(slot.faulted)) continue;
     try {
       lane.session->finish(lane.sink);
     } catch (const std::exception& e) {
       lane.fault = e.what();
-      lane.faulted.store(true, std::memory_order_relaxed);
+      raise_flag(slot.faulted);
     } catch (...) {
       lane.fault = "unknown stream fault";
-      lane.faulted.store(true, std::memory_order_relaxed);
+      raise_flag(slot.faulted);
     }
   }
 }
@@ -471,41 +466,37 @@ std::uint64_t MultiSessionHost::frames_processed() const {
 std::size_t MultiSessionHost::add_session() {
   quiesce();
   const std::size_t index = lanes_.size();
-  const std::size_t channels = bundle_->config().channels;
-  lanes_.push_back(std::make_unique<Lane>(
-      index, bundle_, policy_, config_.ring_frames * channels,
-      AF_OBS_TRACE_ENABLED ? channels : 0));
-  if (!shards_.empty()) {
-    Shard& shard = *shards_[index % shard_count_];
-    // The worker is parked (quiesce() above); owned is mutated under its
-    // mutex so the next un-park observes the new lane.
-    std::lock_guard<std::mutex> lock(shard.m);
-    shard.owned.push_back(lanes_.back().get());
-  }
+  lanes_.push_back(std::make_unique<Lane>(index, bundle_, policy_));
+  feed_slots_.emplace_back().shard =
+      static_cast<std::uint32_t>(index % shard_count_);
+  // The shard is quiescent — its queue empty, its worker (if any) parked —
+  // so the owner may re-size the queue. The worker's next un-park takes
+  // the shard mutex, which orders it after the resize.
+  Shard& shard = *shards_[feed_slots_.back().shard];
+  std::lock_guard<std::mutex> lock(shard.m);
+  shard.queue.resize(shard.queue.capacity() +
+                     config_.ring_frames * shard.pop_record.size());
   return index;
 }
 
 void MultiSessionHost::remove_session(std::size_t i) {
   AF_EXPECT(i < lanes_.size(), "session index out of range");
   quiesce();
+  FeedSlot& slot = feed_slots_[i];
+  if (slot.retired) return;
   Lane& lane = *lanes_[i];
-  if (lane.retired) return;
   if (lane.session.has_value()) {
     lane.final_health = lane.session->health();
     lane.final_metrics =
         lane.session->observability().registry().snapshot();
   }
-  lane.retired = true;
+  slot.retired = true;
   lane.session.reset();  // frees the per-stream buffers
-  if (!shards_.empty()) {
-    Shard& shard = *shards_[i % shard_count_];
-    std::lock_guard<std::mutex> lock(shard.m);
-    std::erase(shard.owned, &lane);
-  }
 }
 
 bool MultiSessionHost::session_retired(std::size_t i) const {
-  return lane_at(i).retired;
+  AF_EXPECT(i < lanes_.size(), "session index out of range");
+  return feed_slots_[i].retired;
 }
 
 // ------------------------------------------------------- health / views
@@ -534,9 +525,9 @@ Session& MultiSessionHost::mutable_session(std::size_t i) {
 }
 
 bool MultiSessionHost::session_faulted(std::size_t i) const {
-  const Lane& lane = lane_at(i);
+  AF_EXPECT(i < lanes_.size(), "session index out of range");
   quiesce();
-  return lane.faulted.load(std::memory_order_relaxed);
+  return load_flag(feed_slots_[i].faulted);
 }
 
 const std::string& MultiSessionHost::session_fault(std::size_t i) const {
@@ -548,26 +539,24 @@ const std::string& MultiSessionHost::session_fault(std::size_t i) const {
 std::uint64_t MultiSessionHost::dropped_frames(std::size_t i) const {
   const Lane& lane = lane_at(i);
   quiesce();
-  return lane.dropped_producer + lane.dropped_consumer;
+  return feed_slots_[i].dropped + lane.dropped;
 }
 
 std::uint64_t MultiSessionHost::rejected_frames(std::size_t i) const {
-  return lane_at(i).rejected;
+  AF_EXPECT(i < lanes_.size(), "session index out of range");
+  return feed_slots_[i].rejected;
 }
 
 std::uint64_t MultiSessionHost::blocked_feeds(std::size_t i) const {
-  return lane_at(i).blocked;
-}
-
-std::size_t MultiSessionHost::ring_high_water(std::size_t i) const {
-  return lane_at(i).high_water;
+  AF_EXPECT(i < lanes_.size(), "session index out of range");
+  return feed_slots_[i].blocked;
 }
 
 std::size_t MultiSessionHost::faulted_count() const {
   quiesce();
   std::size_t n = 0;
-  for (const auto& lane : lanes_)
-    if (lane->faulted.load(std::memory_order_relaxed)) ++n;
+  for (FeedSlot& slot : feed_slots_)
+    if (load_flag(slot.faulted)) ++n;
   return n;
 }
 
@@ -583,15 +572,13 @@ HealthStats MultiSessionHost::aggregate_health() const {
 ShardTelemetry MultiSessionHost::shard_telemetry(std::size_t shard) const {
   AF_EXPECT(shard < shard_count_, "shard index out of range");
   quiesce();
-  const ShardStats& stats = *shard_stats_[shard];
+  const Shard& sh = *shards_[shard];
   ShardTelemetry t;
   t.shard = shard;
-  for (const auto& lane : lanes_) {
-    if (lane->index % shard_count_ != shard || lane->retired) continue;
-    ++t.lanes;
-    t.occupancy_high_water =
-        std::max(t.occupancy_high_water, lane->high_water);
-  }
+  for (std::size_t i = shard; i < feed_slots_.size(); i += shard_count_)
+    if (!feed_slots_[i].retired) ++t.lanes;
+  t.occupancy_high_water = sh.high_water;
+  const ShardStats& stats = sh.stats;
   const obs::Registry& r = stats.registry;
   t.parks = r.counter_value(stats.parks);
   t.unparks = r.counter_value(stats.unparks);
@@ -628,14 +615,14 @@ obs::MetricsSnapshot MultiSessionHost::aggregate_metrics(
     total.add_from(lane_snapshot(*lanes_[i]));
 
   std::uint64_t processed = 0, dropped = 0, rejected = 0, blocked = 0;
-  std::size_t retired = 0, high_water = 0;
-  for (const auto& lane : lanes_) {
-    processed += lane->processed;
-    dropped += lane->dropped_producer + lane->dropped_consumer;
-    rejected += lane->rejected;
-    blocked += lane->blocked;
-    if (lane->retired) ++retired;
-    high_water = std::max(high_water, lane->high_water);
+  std::size_t retired = 0;
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const FeedSlot& slot = feed_slots_[i];
+    processed += lanes_[i]->processed;
+    dropped += slot.dropped + lanes_[i]->dropped;
+    rejected += slot.rejected;
+    blocked += slot.blocked;
+    if (slot.retired) ++retired;
   }
 
   const auto gauge = [&total](std::string name, std::string help, double v) {
@@ -669,7 +656,7 @@ obs::MetricsSnapshot MultiSessionHost::aggregate_metrics(
           "Frames discarded because their lane was faulted or retired.",
           dropped);
   counter("af_host_rejected_frames_total",
-          "Frames refused by admission control (full ring under kReject) "
+          "Frames refused by admission control (full queue under kReject) "
           "or fed to a retired lane.",
           rejected);
   if (include_load_series) {
@@ -677,32 +664,31 @@ obs::MetricsSnapshot MultiSessionHost::aggregate_metrics(
     // legitimately vary with shard count and machine load. Opt-in so the
     // default exposition keeps the thread-count-invariance contract
     // (DESIGN.md §13) that af_stats and the determinism suite rely on.
+    std::size_t high_water = 0;
+    for (const auto& shard : shards_)
+      high_water = std::max(high_water, shard->high_water);
     gauge("af_host_shards", "Worker shards driving the lanes.",
           static_cast<double>(shard_count_));
     gauge("af_host_ring_capacity_frames",
-          "Per-lane ingest ring capacity in frames.",
+          "Ingest queue capacity per lane, in frames.",
           static_cast<double>(config_.ring_frames));
     gauge("af_host_ring_high_water_frames",
-          "Highest per-lane ring occupancy observed, in frames.",
+          "Highest per-shard ingest queue occupancy observed, in frames.",
           static_cast<double>(high_water));
     counter("af_host_blocked_feeds_total",
-            "feed() calls that waited for ring space under kBlock.",
+            "feed() calls that waited for queue space under kBlock.",
             blocked);
     // Per-shard utilization (DESIGN.md §18): each shard's telemetry
-    // registry appended whole, in shard order, plus an occupancy gauge
-    // over the shard's lanes. Series are shard-index-named, so the merged
-    // snapshot stays uniquely keyed.
+    // registry appended whole, in shard order, plus its occupancy gauge.
+    // Series are shard-index-named, so the merged snapshot stays uniquely
+    // keyed.
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      obs::MetricsSnapshot shard_snap = shard_stats_[s]->registry.snapshot();
+      obs::MetricsSnapshot shard_snap = shards_[s]->stats.registry.snapshot();
       for (auto& entry : shard_snap.entries)
         total.entries.push_back(std::move(entry));
-      std::size_t shard_high_water = 0;
-      for (const auto& lane : lanes_)
-        if (lane->index % shard_count_ == s)
-          shard_high_water = std::max(shard_high_water, lane->high_water);
       gauge("af_shard" + std::to_string(s) + "_occupancy_high_water_frames",
-            "Highest ring occupancy among this shard's lanes, in frames.",
-            static_cast<double>(shard_high_water));
+            "Highest occupancy of this shard's ingest queue, in frames.",
+            static_cast<double>(shards_[s]->high_water));
     }
   }
   gauge("af_bundle_load_seconds",
@@ -717,7 +703,7 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin(
   AF_EXPECT(traces.size() == lanes_.size(),
             "round-robin needs exactly one trace per session");
   AF_EXPECT(frames_per_turn >= 1, "frames_per_turn must be >= 1");
-  const std::size_t channels = bundle_->config().channels;
+  const std::size_t channels = channels_;
   for (const auto& trace : traces)
     AF_EXPECT(trace.channel_count() == channels,
               "trace carries " + std::to_string(trace.channel_count()) +
@@ -742,7 +728,7 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin(
       if (cursor[i] < total) pending_input = true;
     }
     // No per-turn barrier: shard workers classify concurrently while the
-    // next turn is fed; ring backpressure throttles the fan-out. (Inline
+    // next turn is fed; queue backpressure throttles the fan-out. (Inline
     // mode drains under feed pressure and in the final finish().)
   }
   finish();
@@ -752,13 +738,13 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin(
 std::vector<SessionEvent> MultiSessionHost::run_round_robin_parallel(
     const std::vector<sensor::MultiChannelTrace>& traces,
     std::size_t frames_per_turn) {
-  // Inline mode has one shared drain scratch, so it admits only one feeder.
+  // Inline mode drains on the feeding thread, so it admits only one feeder.
   if (workers_.empty()) return run_round_robin(traces, frames_per_turn);
 
   AF_EXPECT(traces.size() == lanes_.size(),
             "round-robin needs exactly one trace per session");
   AF_EXPECT(frames_per_turn >= 1, "frames_per_turn must be >= 1");
-  const std::size_t channels = bundle_->config().channels;
+  const std::size_t channels = channels_;
   for (const auto& trace : traces)
     AF_EXPECT(trace.channel_count() == channels,
               "trace carries " + std::to_string(trace.channel_count()) +
@@ -766,8 +752,8 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin_parallel(
                   std::to_string(channels));
 
   // One producer thread per shard; feeder s owns exactly the lanes of
-  // shard s (index % shard_count_), so every lane keeps a single feeder
-  // and the disjoint-lane concurrent-feed contract holds. Per-lane order
+  // shard s (index % shard_count_), so every shard queue keeps a single
+  // producer and the one-feeder-per-shard contract holds. Per-lane order
   // matches run_round_robin() exactly: the same frames_per_turn bursts in
   // ascending lane order within the feeder's subset.
   std::vector<std::thread> feeders;

@@ -1,53 +1,56 @@
 // Sharded multi-stream serving host: N Sessions over one shared
-// ModelBundle, hashed across S lanes-per-shard worker threads.
+// ModelBundle, hashed across S worker shards.
 //
 // The host models the production shape the ROADMAP aims at — one resident
 // copy of the trained forests serving thousands of concurrent wearable
 // streams. Each session (lane) is hashed to a shard (`index % shards`);
-// each shard owns one long-lived worker thread and drains its lanes'
-// bounded SPSC ingest rings (common/spsc_ring.hpp) continuously, so the
-// producer's `feed()` overlaps with parallel classification instead of
-// alternating with it behind a fork/join barrier (the pre-shard design's
-// scaling wall, ROADMAP item 1). `pump()` is an epoch barrier: it returns
-// once every frame fed so far has been processed and all workers are
-// parked, which is when the aggregate views (drain/metrics/health) are
-// coherent.
+// each shard owns one bounded FIFO ingest queue (common/spsc_ring.hpp)
+// whose records carry (lane index, ingest stamp, samples), and one
+// long-lived worker thread that pops those records in order and pushes
+// each into its lane's Session. The producer's `feed()` appends to the
+// lane's shard queue and so overlaps with parallel classification instead
+// of alternating with it behind a fork/join barrier. `pump()` is an epoch
+// barrier: it returns once every frame fed so far has been processed and
+// all workers are parked, which is when the aggregate views
+// (drain/metrics/health) are coherent.
 //
 // Determinism (DESIGN.md §9/§14): sessions are fully independent and each
-// lane's frames are processed in feed order by exactly one thread, so a
-// lane's emission stream is a pure function of its input — independent of
-// shard count, thread count, ring capacity, and scheduling. drain()
-// defines the total order as (session index, emission order), which no
-// scheduling can perturb. The host is bit-identical across shard counts,
-// including the shardless inline mode (shards == 1: no threads at all,
-// frames drain on the caller).
+// lane's frames are processed in feed order by exactly one thread (its
+// shard's consumer), so a lane's emission stream is a pure function of its
+// input — independent of shard count, thread count, queue capacity, and
+// scheduling. drain() defines the total order as (session index, emission
+// order), which no scheduling can perturb. The host is bit-identical
+// across shard counts, including the shardless inline mode (shards == 1:
+// no threads at all, the caller pops the queue).
 //
-// Backpressure & admission (DESIGN.md §14): rings are bounded. When a
-// lane's ring is full, Admission::kBlock (default, lossless) makes feed()
-// wait for the shard worker to make room (in inline mode the caller drains
-// the lane itself), while Admission::kReject makes feed() refuse the frame
-// and count it — per-lane rejected/blocked/high-water counters surface
-// through aggregate_metrics().
+// Backpressure & admission (DESIGN.md §14): queues are bounded, and
+// admission applies per shard. When a shard's queue is full,
+// Admission::kBlock (default, lossless) makes feed() wait for the shard
+// worker to make room (in inline mode the caller drains the whole queue in
+// place), while Admission::kReject makes feed() refuse the frame and count
+// it against its lane. Per-lane rejected/blocked counters and per-shard
+// occupancy surface through aggregate_metrics() and shard_telemetry().
 //
 // Fault isolation (DESIGN.md §12): a lane whose session throws — a corrupt
 // stream in strict mode, say — is marked faulted and quarantined by the
-// host instead of poisoning its shard. Its remaining ring input is
-// discarded (and counted), later feeds are dropped, and sibling lanes are
-// untouched: their emissions stay bit-identical to a run without the
-// faulting neighbour, at any shard count.
+// host instead of poisoning its shard. Its records still in the queue are
+// discarded (and counted) when they reach the head, later feeds are
+// dropped, and sibling lanes are untouched: their emissions stay
+// bit-identical to a run without the faulting neighbour, at any shard
+// count.
 //
 // Threading contract: pump(), finish(), drain(), the lifecycle calls, and
 // every read accessor belong to ONE owner thread (the producer). Reads and
 // lifecycle mutations quiesce the shards internally, so they are always
 // coherent. feed() is normally called from that same owner thread; in
 // *threaded* mode (shard_count() >= 2) it may additionally be called from
-// several producer threads concurrently, provided each lane has at most
-// one feeder at a time — feed() touches only that lane's ring/counters
-// plus its shard's park flag, so disjoint-lane feeders never share
-// mutable state. (Inline mode drains on the feeding thread through shared
-// scratch: single feeder only.) The owner-thread calls may resume only
-// after the extra feeders are joined (an external happens-before edge).
-// run_round_robin_parallel() packages this pattern.
+// several producer threads concurrently, provided each shard has at most
+// one feeder at a time — a shard's queue is single-producer, and feed()
+// otherwise touches only the lane's feed slot plus its shard's park
+// flag. (Inline mode drains on the feeding thread: single feeder only.)
+// The owner-thread calls may resume only after the extra feeders are
+// joined (an external happens-before edge). run_round_robin_parallel()
+// packages this pattern.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/spsc_ring.hpp"
 #include "core/session.hpp"
 
 namespace airfinger::core {
@@ -73,21 +75,28 @@ struct SessionEvent {
 /// actually served, so they legitimately vary across machines, runs, and
 /// shard counts (unlike the emission stream, which never does). Counters
 /// are cumulative since construction; in inline mode (one shard, no
-/// workers) the caller thread plays the worker and parks/busy time stay 0.
+/// workers) the caller thread plays the worker: its drains count as busy
+/// time, and parks / parked time stay 0. A batch is the run of records the
+/// consumer found queued when it last looked at the shard's queue; it pops
+/// exactly those before looking again.
 struct ShardTelemetry {
   std::size_t shard = 0;             ///< Shard index.
-  std::size_t lanes = 0;             ///< Lanes currently hashed to it.
+  std::size_t lanes = 0;             ///< Live lanes hashed to it.
   std::uint64_t parks = 0;           ///< Worker park events.
   std::uint64_t unparks = 0;         ///< Worker wake events.
-  std::uint64_t frames_drained = 0;  ///< Frames this shard classified.
-  std::uint64_t drain_batches = 0;   ///< Non-empty drain sweeps per lane.
-  std::uint64_t idle_passes = 0;     ///< Sweeps that found nothing queued.
-  std::uint64_t busy_ns = 0;         ///< Wall time inside draining sweeps.
+  std::uint64_t frames_drained = 0;  ///< Frames this shard popped.
+  std::uint64_t drain_batches = 0;   ///< Non-empty batches.
+  std::uint64_t idle_passes = 0;     ///< Looks that found nothing queued.
+  std::uint64_t busy_ns = 0;         ///< Wall time inside batches.
   std::uint64_t parked_ns = 0;       ///< Wall time parked on the cv.
-  double drain_batch_p50 = 0.0;      ///< Median frames per non-empty drain.
-  double queue_wait_p50_ns = 0.0;    ///< Median ring residency (ns).
-  double queue_wait_p99_ns = 0.0;    ///< Tail ring residency (ns).
-  std::size_t occupancy_high_water = 0;  ///< Max frames queued on one lane.
+  double drain_batch_p50 = 0.0;      ///< Median frames per batch.
+  double queue_wait_p50_ns = 0.0;    ///< Median queue residency (ns).
+  double queue_wait_p99_ns = 0.0;    ///< Tail queue residency (ns).
+  /// Largest batch: the most frames the consumer ever found queued on the
+  /// shard. Exact in inline mode, where the caller drains only at pump()
+  /// or on a full queue; a lower bound on the true peak while a worker
+  /// drains concurrently. Tracked without tracing.
+  std::size_t occupancy_high_water = 0;
 
   /// Fraction of accounted wall time spent draining (busy vs parked).
   /// 0 when nothing was accounted yet (or tracing is compiled out).
@@ -98,7 +107,7 @@ struct ShardTelemetry {
   }
 };
 
-/// What feed() does when a lane's ingest ring is full.
+/// What feed() does when a shard's ingest queue is full.
 enum class Admission : std::uint8_t {
   kBlock = 0,  ///< Lossless: wait for the consumer to make room.
   kReject,     ///< Bounded-latency: refuse the frame and count it.
@@ -112,8 +121,11 @@ struct HostConfig {
   /// 1 selects inline mode: no worker threads, frames are drained on the
   /// caller thread — the bit-identical single-thread reference.
   std::size_t shards = 0;
-  /// Per-lane ingest ring capacity in frames (>= 1).
-  std::size_t ring_frames = 1024;
+  /// Ingest queue capacity per lane, in frames (>= 1): a shard's queue
+  /// holds ring_frames × (lanes hashed to the shard) frames, and grows
+  /// with add_session(). The default, 16, is 160 ms of 100 Hz input per
+  /// lane.
+  std::size_t ring_frames = 16;
   Admission admission = Admission::kBlock;
 };
 
@@ -160,13 +172,13 @@ class MultiSessionHost {
   Session& mutable_session(std::size_t i);
 
   /// Enqueues one frame (one sample per channel) for stream `session` on
-  /// its shard's ingest ring; the shard worker classifies it
-  /// concurrently (inline mode: on the next pump(), or immediately when
-  /// the ring fills under kBlock). Returns true when the frame was
-  /// accepted. False means the frame was refused and counted: the lane is
-  /// faulted (dropped_frames), retired, or its ring was full under
-  /// Admission::kReject (rejected_frames). Under kBlock a full ring blocks
-  /// until the worker makes room instead.
+  /// its shard's ingest queue; the shard worker classifies it
+  /// concurrently (inline mode: on the next pump(), or when the queue
+  /// fills under kBlock). Returns true when the frame was accepted. False
+  /// means the frame was refused and counted: the lane is faulted
+  /// (dropped_frames), retired, or its shard's queue was full under
+  /// Admission::kReject (rejected_frames). Under kBlock a full queue
+  /// blocks until the worker makes room instead.
   bool feed(std::size_t session, std::span<const double> frame);
 
   /// Epoch barrier: returns once every frame fed so far has been fully
@@ -187,14 +199,15 @@ class MultiSessionHost {
 
   // --------------------------------------------------- session lifecycle
 
-  /// Adds one lane (quiesces first), hashed to shard `index % shards`.
-  /// Returns the new session index. O(1) against the shared bundle.
+  /// Adds one lane (quiesces first), hashed to shard `index % shards`,
+  /// and grows that shard's queue by ring_frames. Returns the new session
+  /// index. O(1) against the shared bundle.
   std::size_t add_session();
 
-  /// Retires a lane between epochs (quiesces first): discards and counts
-  /// anything still queued, captures the session's final health/metrics
-  /// for the aggregate views, and frees its per-stream state. The index
-  /// stays valid (indices are stable); feeding a retired lane counts into
+  /// Retires a lane between epochs (quiesces first, so nothing of it is
+  /// still queued): captures the session's final health/metrics for the
+  /// aggregate views and frees its per-stream state. The index stays
+  /// valid (indices are stable); feeding a retired lane counts into
   /// rejected_frames(). Idempotent.
   void remove_session(std::size_t i);
 
@@ -211,18 +224,16 @@ class MultiSessionHost {
   const std::string& session_fault(std::size_t i) const;
 
   /// Frames discarded because the lane could no longer process them:
-  /// queued input at fault/retire time plus everything fed afterwards.
+  /// queued input that reached the head of the queue after the fault plus
+  /// everything fed afterwards.
   std::uint64_t dropped_frames(std::size_t i) const;
 
-  /// Frames refused by admission control (ring full under
+  /// Frames refused by admission control (shard queue full under
   /// Admission::kReject) or fed to a retired lane.
   std::uint64_t rejected_frames(std::size_t i) const;
 
-  /// feed() calls that had to wait for ring space under Admission::kBlock.
+  /// feed() calls that had to wait for queue space under Admission::kBlock.
   std::uint64_t blocked_feeds(std::size_t i) const;
-
-  /// Highest ring occupancy (in frames) this lane has seen.
-  std::size_t ring_high_water(std::size_t i) const;
 
   /// Number of currently faulted lanes.
   std::size_t faulted_count() const;
@@ -239,27 +250,27 @@ class MultiSessionHost {
   /// Those are all deterministic, so the default exposition keeps the
   /// repo-wide invariance contract: byte-identical at any thread or shard
   /// count. `include_load_series` appends the scheduling-dependent load
-  /// series too — shard count, ring capacity, ring high-water, blocked
-  /// feeds, and the per-shard utilization series (af_shard<i>_*: parks,
-  /// busy/parked time, drain batch sizes, queue wait) — which legitimately
-  /// vary across machines and runs. Quiesces the shards first, so the
-  /// view is coherent.
+  /// series too — shard count, per-lane queue share, the highest
+  /// per-shard occupancy, blocked feeds, and the per-shard utilization
+  /// series (af_shard<i>_*: parks, busy/parked time, batch sizes, queue
+  /// wait, occupancy) — which legitimately vary across machines and runs.
+  /// Quiesces the shards first, so the view is coherent.
   obs::MetricsSnapshot aggregate_metrics(
       bool include_load_series = false) const;
 
   /// Per-shard utilization counters (quiesces first): park/unpark counts,
   /// busy vs parked wall time, drained frame/batch totals with a batch
-  /// size median, queue-wait quantiles from the ingest-stamp side-channel,
-  /// and the highest ring occupancy among the shard's lanes. Inline mode
-  /// exposes shard 0 (the caller-thread pseudo-shard). Counters only move
-  /// when tracing is compiled in (AF_OBS_TRACE, DESIGN.md §18); with it
-  /// off, the shape is served with everything zero.
+  /// size median, queue-wait quantiles from the records' ingest stamps,
+  /// and the shard queue's occupancy high-water. Inline mode exposes
+  /// shard 0 (the caller-thread pseudo-shard). Apart from the lane count
+  /// and the high-water, counters only move when tracing is compiled in
+  /// (AF_OBS_TRACE, DESIGN.md §18); with it off they read zero.
   ShardTelemetry shard_telemetry(std::size_t shard) const;
 
   /// Convenience driver: one trace per session, fanned out round-robin —
   /// each turn feeds up to `frames_per_turn` frames to every stream that
   /// still has input, emulating interleaved arrival from N concurrent
-  /// wearables; shard workers classify concurrently under ring
+  /// wearables; shard workers classify concurrently under queue
   /// backpressure. Finishes all streams and returns the drained events.
   std::vector<SessionEvent> run_round_robin(
       const std::vector<sensor::MultiChannelTrace>& traces,
@@ -267,8 +278,9 @@ class MultiSessionHost {
 
   /// run_round_robin() with one producer thread per shard: feeder s
   /// streams exactly the lanes hashed to shard s (index % shard_count()),
-  /// round-robin within them, so the sweep measures the host instead of a
-  /// single-threaded producer. Per-lane feed order is identical to
+  /// round-robin within them — the one feeder per shard that the queue
+  /// admits — so the sweep measures the host instead of a single-threaded
+  /// producer. Per-lane feed order is identical to
   /// run_round_robin() — the drained events are bit-identical; only the
   /// cross-lane interleaving (which determinism never observes) differs.
   /// Inline mode (no workers) falls back to the single-feeder loop.
@@ -277,90 +289,72 @@ class MultiSessionHost {
       std::size_t frames_per_turn = 64);
 
  private:
-  // Lane field groups are cache-line-separated by ownership: in threaded
-  // mode the shard worker bumps `processed` on every frame while the
-  // producer bumps `high_water` on every feed *and* polls `faulted` /
-  // `retired` — if those lived on one line, each side's writes would keep
-  // evicting the other's hot line (false sharing; measured as the
-  // inverted 1→4-shard throughput curve this layout fixed). alignas(64)
-  // on each group start plus the ring's own 64-byte alignment (which
-  // rounds sizeof(Lane) to whole lines) keeps every group private.
+  /// Per-lane state that feed() reads or writes, kept apart from the
+  /// Session-holding Lane in one dense per-host array so a feed touches
+  /// only its shard's queue tail and one small slot. `faulted` is set by
+  /// the lane's consumer and polled by its feeder, so both go through
+  /// std::atomic_ref; everything else belongs to the lane's feeder
+  /// (`retired` flips only at quiescence). A plain struct, so the array
+  /// can grow in add_session().
+  struct FeedSlot {
+    bool faulted = false;
+    bool retired = false;
+    std::uint32_t shard = 0;     ///< index % shard count, kept for feed().
+    std::uint64_t rejected = 0;  ///< Admission rejects + retired feeds.
+    std::uint64_t blocked = 0;   ///< feed() waits under kBlock.
+    std::uint64_t dropped = 0;   ///< Feeds refused after the fault.
+  };
+
+  /// Consumer-side lane state: owned by the lane's shard worker (or the
+  /// caller thread in inline mode / at quiescence).
   struct Lane {
-    /// `stamp_stride` is the ring's ingest-stamp stride: the channel count
-    /// when gesture tracing is compiled in (feed() stamps every frame so
-    /// queue_wait is measurable), 0 otherwise (no stamp storage at all).
     Lane(std::size_t index, std::shared_ptr<const ModelBundle> bundle,
-         FaultPolicy policy, std::size_t ring_capacity,
-         std::size_t stamp_stride);
+         FaultPolicy policy);
 
     const std::size_t index;
-    common::SpscRing<double> ring;  ///< Frame-aligned ingest queue.
-
-    // ---- consumer-side state: owned by the lane's shard worker (or the
-    // caller thread in inline mode / at quiescence).
-    alignas(64) std::optional<Session> session;
+    std::optional<Session> session;
     std::vector<SessionEvent> events;
-    Session::EventCallback sink;    ///< Appends to `events`; built once.
-    std::uint64_t processed = 0;    ///< Frames classified successfully.
-    std::uint64_t dropped_consumer = 0;  ///< Ring discards after fault/retire.
-    std::string fault;              ///< what() of the quarantining exception.
-
-    // ---- flags written at fault/retire time, read by the producer on
-    // *every* feed() to short-circuit: they get their own (rarely
-    // invalidated) line so the polling stays a shared cache hit.
-    // `faulted` flips inside the worker, hence atomic; `retired` flips
-    // only at quiescence.
-    alignas(64) std::atomic<bool> faulted{false};
-    bool retired = false;
-
-    // ---- producer-side counters: only the lane's feeder touches these.
-    alignas(64) std::uint64_t dropped_producer = 0;  ///< Refused post-fault.
-    std::uint64_t rejected = 0;      ///< Admission rejects + retired feeds.
-    std::uint64_t blocked = 0;       ///< feed() waits under kBlock.
-    std::size_t high_water = 0;      ///< Max ring occupancy in frames.
+    Session::EventCallback sink;  ///< Appends to `events`; built once.
+    std::uint64_t processed = 0;  ///< Frames classified successfully.
+    std::uint64_t dropped = 0;    ///< Queued records discarded after a fault.
+    std::string fault;            ///< what() of the quarantining exception.
 
     // ---- captured by remove_session() before the session is freed.
-    alignas(64) HealthStats final_health;
+    HealthStats final_health;
     obs::MetricsSnapshot final_metrics;
   };
 
-  struct Shard;       // worker state + parking synchronization (in the .cpp)
-  struct ShardStats;  // per-shard telemetry registry (in the .cpp)
+  struct Shard;  // queue, worker parking and telemetry (in the .cpp)
 
-  /// Drains up to `max_frames` frames from one lane's ring through its
-  /// session (or discards them when the lane is faulted/retired). Returns
-  /// the number of frames consumed. Caller must own the consumer side.
-  /// `stats` (may be null) collects drained-frame/batch counts and the
-  /// queue wait of the batch's oldest frame; a lane fault additionally
-  /// dumps the session's flight recorder before quarantine.
-  static std::size_t drain_lane(Lane& lane, std::span<double> frame,
-                                std::size_t max_frames, ShardStats* stats);
+  /// Pops the records queued on `shard` when it is called and pushes each
+  /// into its lane's session, or discards and counts it when the lane is
+  /// faulted or retired. Returns the number of records popped. The caller
+  /// must own the shard's consumer side. A lane fault dumps the session's
+  /// flight recorder and quarantines the lane.
+  std::size_t drain_queue(Shard& shard) const;
 
   void worker_loop(Shard& shard);
   /// The epoch barrier behind pump() and every read accessor: blocks until
-  /// each shard worker is parked with empty rings — or, in inline mode,
-  /// drains every lane's ring on the caller. Either way, on return every
-  /// frame fed so far has been fully processed. Const because the logical
-  /// host state it leaves behind is exactly what the caller already
-  /// requested by feeding; lanes are reached through their own indirection.
+  /// each shard worker is parked with an empty queue — or, in inline mode,
+  /// drains the queue on the caller. Either way, on return every frame fed
+  /// so far has been fully processed. Const because the logical host state
+  /// it leaves behind is exactly what the caller already requested by
+  /// feeding; lanes and shards are reached through their own indirection.
   void quiesce() const;
   const Lane& lane_at(std::size_t i) const;
 
   std::shared_ptr<const ModelBundle> bundle_;
   HostConfig config_;
   std::size_t shard_count_ = 1;
+  std::size_t channels_ = 0;
   FaultPolicy policy_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<Shard>> shards_;  ///< Empty in inline mode.
-  /// One telemetry block per shard, always shard_count_ entries (inline
-  /// mode keeps a caller-thread pseudo-shard at index 0). Mutable for the
-  /// same reason as scratch_frame_: quiesce() is logically const but the
-  /// inline drains it performs are accounted here.
-  mutable std::vector<std::unique_ptr<ShardStats>> shard_stats_;
+  /// One per lane, dense. Mutable: quiesce() is logically const, but the
+  /// inline drain it performs may quarantine a lane.
+  mutable std::vector<FeedSlot> feed_slots_;
+  /// Always shard_count_ entries; inline mode has shard 0 and no worker.
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
-  /// Caller-side drain scratch (mutable: quiesce() is logically const but
-  /// drains inline-mode rings through it).
-  mutable std::vector<double> scratch_frame_;
 };
 
 }  // namespace airfinger::core

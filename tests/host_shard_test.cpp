@@ -12,10 +12,11 @@
 //   * sessions can be added and removed between epochs: indices stay
 //     stable, retired lanes reject feeds and keep contributing their
 //     final health/metrics to the aggregates;
-//   * admission control is exact: under kReject in inline mode the
-//     rejected-frame counters match the injected overflow frame for
-//     frame, and under kBlock nothing is ever lost no matter how small
-//     the rings are.
+//   * admission control is exact and per shard: under kReject in inline
+//     mode the rejected-frame counters match the injected overflow frame
+//     for frame, a shard's queue holds ring_frames per lane (and grows
+//     with add_session()), and under kBlock nothing is ever lost no
+//     matter how small the queues are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -117,8 +118,8 @@ TEST(HostSharding, EmissionsBitIdenticalAcrossShardCounts) {
     expect_hosted_identical(reference, run_with(config));
   }
 
-  // Ring capacity is a pure throughput knob: a 2-frame ring forces
-  // constant backpressure yet must not perturb a single bit.
+  // Queue capacity is a pure throughput knob: a 2-frame-per-lane queue
+  // forces constant backpressure yet must not perturb a single bit.
   for (const std::size_t ring : {std::size_t{2}, std::size_t{64}}) {
     SCOPED_TRACE("ring " + std::to_string(ring));
     core::HostConfig config;
@@ -283,7 +284,7 @@ TEST(HostSharding, RejectAdmissionCountsOverflowExactly) {
   EXPECT_EQ(accepted, 8u);
   EXPECT_EQ(rejected, 12u);
   EXPECT_EQ(host.rejected_frames(0), 12u);
-  EXPECT_EQ(host.ring_high_water(0), 8u);
+  EXPECT_EQ(host.shard_telemetry(0).occupancy_high_water, 8u);
 
   host.pump();  // drains the 8 accepted frames; ring empties
   EXPECT_EQ(host.frames_processed(), 8u);
@@ -297,13 +298,166 @@ TEST(HostSharding, RejectAdmissionCountsOverflowExactly) {
   EXPECT_EQ(metrics.find("af_host_rejected_frames_total")->count, 13u);
   EXPECT_EQ(metrics.find("af_host_ring_capacity_frames")->value, 8.0);
   EXPECT_EQ(metrics.find("af_host_ring_high_water_frames")->value, 8.0);
+  EXPECT_EQ(metrics.find("af_shard0_occupancy_high_water_frames")->value,
+            8.0);
   EXPECT_EQ(metrics.find("af_host_shards")->value, 1.0);
 }
 
+TEST(HostSharding, RejectAdmissionAppliesPerShardQueue) {
+  // Inline mode, 3 lanes with a 4-frame share each: the one shard queue
+  // holds 12 frames, so of 20 un-pumped round-robin feeds exactly the
+  // first 12 are accepted, and every refusal is counted against the lane
+  // it was meant for.
+  const std::size_t channels = trained_bundle()->config().channels;
+  core::HostConfig config;
+  config.shards = 1;
+  config.ring_frames = 4;
+  config.admission = core::Admission::kReject;
+  core::MultiSessionHost host(trained_bundle(), 3,
+                              trained_bundle()->config().fault_policy,
+                              config);
+
+  const std::vector<double> frame(channels, 0.05);
+  std::size_t accepted = 0;
+  std::vector<std::uint64_t> refused(3, 0);
+  for (std::size_t i = 0; i < 20; ++i) {
+    if (host.feed(i % 3, frame))
+      ++accepted;
+    else
+      ++refused[i % 3];
+  }
+  EXPECT_EQ(accepted, 12u);
+  // Feeds 12..19 went to lanes 0,1,2,0,1,2,0,1.
+  EXPECT_EQ(refused, (std::vector<std::uint64_t>{3, 3, 2}));
+  for (std::size_t lane = 0; lane < 3; ++lane) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    EXPECT_EQ(host.rejected_frames(lane), refused[lane]);
+    EXPECT_EQ(host.dropped_frames(lane), 0u);
+  }
+  EXPECT_EQ(host.frames_processed(), 12u);
+
+  // The bound is the shard's, not the lane's: one busy lane may use the
+  // whole queue while its siblings are quiet.
+  for (std::size_t i = 0; i < 14; ++i) host.feed(0, frame);
+  EXPECT_EQ(host.rejected_frames(0), refused[0] + 2);
+  EXPECT_EQ(host.frames_processed(), 24u);
+}
+
+TEST(HostSharding, DefaultQueuesNeverBlockPaced100HzTicks) {
+  // The serving shape: every lane delivers one frame per tick and the
+  // owner pumps after each tick. With the default 16-frame share per
+  // lane a shard's queue holds 16 ticks of input, so feed() never waits.
+  const auto traces = gesture_streams(4);
+  const std::size_t channels = trained_bundle()->config().channels;
+  constexpr std::size_t kLanes = 64;
+  constexpr std::size_t kTicks = 300;
+  core::HostConfig config;
+  config.shards = 2;
+  core::MultiSessionHost host(trained_bundle(), kLanes,
+                              trained_bundle()->config().fault_policy,
+                              config);
+  ASSERT_EQ(host.host_config().ring_frames, 16u);
+
+  std::vector<double> frame(channels);
+  for (std::size_t tick = 0; tick < kTicks; ++tick) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const sensor::MultiChannelTrace& trace = traces[lane % traces.size()];
+      for (std::size_t c = 0; c < channels; ++c)
+        frame[c] = trace.channel(c)[tick];
+      ASSERT_TRUE(host.feed(lane, frame));
+    }
+    host.pump();
+  }
+  for (std::size_t lane = 0; lane < kLanes; ++lane)
+    EXPECT_EQ(host.blocked_feeds(lane), 0u) << "lane " << lane;
+  EXPECT_EQ(host.frames_processed(), kLanes * kTicks);
+}
+
+TEST(HostSharding, AddSessionGrowsItsShardQueueAndStaysLossless) {
+  const auto traces = gesture_streams(3);
+  const std::size_t channels = trained_bundle()->config().channels;
+  const auto feed_range = [&](core::MultiSessionHost& host, std::size_t lane,
+                              const sensor::MultiChannelTrace& trace,
+                              std::size_t begin, std::size_t end) {
+    std::vector<double> frame(channels);
+    for (std::size_t f = begin; f < end; ++f) {
+      for (std::size_t c = 0; c < channels; ++c)
+        frame[c] = trace.channel(c)[f];
+      EXPECT_TRUE(host.feed(lane, frame));
+    }
+  };
+  const auto expect_standalone = [&](core::MultiSessionHost& host,
+                                     std::size_t lanes) {
+    std::vector<std::vector<core::GestureEvent>> per_session(lanes);
+    for (const auto& e : host.drain()) per_session[e.session].push_back(e.event);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      SCOPED_TRACE("lane " + std::to_string(i));
+      EXPECT_EQ(host.dropped_frames(i) + host.rejected_frames(i), 0u);
+      core::Session standalone(trained_bundle());
+      expect_events_identical(per_session[i],
+                              standalone.process_trace(traces[i]));
+    }
+  };
+
+  {
+    // Inline, 4 frames per lane: one lane's queue holds 4 frames; after
+    // add_session() the same queue holds 8, so 8 un-pumped feeds fit
+    // without a blocking drain.
+    SCOPED_TRACE("inline");
+    core::HostConfig config;
+    config.shards = 1;
+    config.ring_frames = 4;
+    core::MultiSessionHost host(trained_bundle(), 1,
+                                trained_bundle()->config().fault_policy,
+                                config);
+    feed_range(host, 0, traces[0], 0, 4);
+    host.pump();
+    EXPECT_EQ(host.add_session(), 1u);
+    feed_range(host, 0, traces[0], 4, 8);
+    feed_range(host, 1, traces[1], 0, 4);
+    EXPECT_EQ(host.blocked_feeds(0) + host.blocked_feeds(1), 0u);
+    EXPECT_EQ(host.shard_telemetry(0).occupancy_high_water, 8u);
+
+    // The rest streams under constant backpressure, losslessly.
+    feed_range(host, 0, traces[0], 8, traces[0].sample_count());
+    feed_range(host, 1, traces[1], 4, traces[1].sample_count());
+    host.finish();
+    EXPECT_GT(host.blocked_feeds(0), 0u);
+    EXPECT_EQ(host.frames_processed(),
+              traces[0].sample_count() + traces[1].sample_count());
+    expect_standalone(host, 2);
+  }
+  {
+    // Threaded, 2 frames per lane under kBlock: a lane added mid-stream
+    // joins shard 0's queue without losing or reordering anything.
+    SCOPED_TRACE("threaded");
+    core::HostConfig config;
+    config.shards = 2;
+    config.ring_frames = 2;
+    core::MultiSessionHost host(trained_bundle(), 2,
+                                trained_bundle()->config().fault_policy,
+                                config);
+    const std::size_t half0 = traces[0].sample_count() / 2;
+    const std::size_t half1 = traces[1].sample_count() / 2;
+    feed_range(host, 0, traces[0], 0, half0);
+    feed_range(host, 1, traces[1], 0, half1);
+    EXPECT_EQ(host.add_session(), 2u);
+    feed_range(host, 2, traces[2], 0, traces[2].sample_count());
+    feed_range(host, 0, traces[0], half0, traces[0].sample_count());
+    feed_range(host, 1, traces[1], half1, traces[1].sample_count());
+    host.finish();
+    EXPECT_EQ(host.frames_processed(), traces[0].sample_count() +
+                                           traces[1].sample_count() +
+                                           traces[2].sample_count());
+    expect_standalone(host, 3);
+  }
+}
+
 TEST(HostSharding, BlockAdmissionIsLosslessUnderTinyRings) {
-  // kBlock with a 2-frame ring: feed() constantly waits on the worker,
-  // yet every frame must arrive — fed == processed, nothing dropped or
-  // rejected, and the emissions match an unconstrained run exactly.
+  // kBlock with a 2-frame share per lane: feed() constantly waits on the
+  // worker, yet every frame must arrive — fed == processed, nothing
+  // dropped or rejected, and the emissions match an unconstrained run
+  // exactly.
   const auto traces = gesture_streams(2);
   core::HostConfig config;
   config.shards = 2;

@@ -11,10 +11,18 @@
 namespace airfinger {
 namespace {
 
+// Each test writes its own file under the gtest temp dir, named after the
+// test: ctest runs the tests of this fixture as concurrent processes, and a
+// shared path would let one test's TearDown delete another's corpus.
 class DatasetIoTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "io_test_" + info->test_suite_name() +
+            "_" + info->name() + ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "io_test_corpus.csv";
+  std::string path_;
 };
 
 TEST(CsvSplit, HonoursQuoting) {

@@ -1,10 +1,10 @@
 // Property tests for the bounded SPSC ring behind the serving host's
-// ingest lanes (common/spsc_ring.hpp).
+// per-shard ingest queues (common/spsc_ring.hpp).
 //
 // Single-threaded properties — capacity bounds, FIFO order, wraparound,
-// all-or-nothing bulk transfers, full/empty edge transitions — are checked
-// exhaustively over awkward capacities (1, non-powers-of-two, exactly one
-// frame). The concurrent properties run a real producer thread against a
+// all-or-nothing bulk transfers, full/empty edge transitions, resizing an
+// empty ring — are checked exhaustively over awkward capacities (1,
+// non-powers-of-two, exactly one frame). The concurrent properties run a real producer thread against a
 // real consumer thread over seeded burst schedules: every element arrives
 // exactly once, in order, and the observed occupancy never leaves
 // [0, capacity]. The same binary runs under ASan and TSan (tools/
@@ -148,58 +148,31 @@ TEST(SpscRing, DiscardAllCountsAndEmpties) {
   EXPECT_EQ(out, 9);
 }
 
-TEST(SpscRing, StampsRideAlongWithTheirFrames) {
-  // Two 3-wide frame slots; each frame's ingest stamp must come back with
-  // exactly that frame across wraparounds, and failed pushes must leave
-  // the previously published stamp untouched.
-  constexpr std::size_t kChannels = 3;
-  SpscRing<double> ring(2 * kChannels, kChannels);
-  EXPECT_EQ(ring.stamp_stride(), kChannels);
-  std::vector<double> frame(kChannels);
-  std::vector<double> out(kChannels);
-  std::uint64_t stamp = 0;
+TEST(SpscRing, ResizeReshapesAnEmptyRingOnly) {
+  SpscRing<int> ring(2);
+  ASSERT_TRUE(ring.try_push(1));
+  EXPECT_THROW(ring.resize(4), PreconditionError);  // not empty
+  int out = 0;
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_THROW(ring.resize(0), PreconditionError);
 
-  for (std::uint64_t k = 0; k < 50; ++k) {
-    for (std::size_t c = 0; c < kChannels; ++c)
-      frame[c] = static_cast<double>(k * kChannels + c);
-    ASSERT_TRUE(
-        ring.try_push(std::span<const double>(frame), 1000 + k));
-    if (k % 2 == 1) {
-      // Ring is full: the refused push must not clobber any stamp.
-      ASSERT_FALSE(
-          ring.try_push(std::span<const double>(frame), 9999));
-      for (const std::uint64_t expect : {k - 1, k}) {
-        ASSERT_TRUE(ring.try_pop(std::span<double>(out), &stamp));
-        EXPECT_EQ(stamp, 1000 + expect);
-        EXPECT_EQ(out[0], static_cast<double>(expect * kChannels));
-      }
+  // Grown in place after traffic moved the positions: the new capacity
+  // binds exactly, and FIFO order survives wraparound at the new size.
+  ring.resize(5);
+  EXPECT_EQ(ring.capacity(), 5u);
+  EXPECT_TRUE(ring.empty());
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(round * 10 + i));
+    EXPECT_FALSE(ring.try_push(99));
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(ring.try_pop(out));
+      EXPECT_EQ(out, round * 10 + i);
     }
   }
-  EXPECT_TRUE(ring.empty());
-
-  // A null stamp pointer skips the read-back without consuming wrong.
-  ASSERT_TRUE(ring.try_push(std::span<const double>(frame), 777));
-  ASSERT_TRUE(ring.try_pop(std::span<double>(out), nullptr));
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, StampStrideZeroAllocatesNothingAndIgnoresStamps) {
-  // The AF_OBS_TRACE=OFF shape: stride 0 stores no stamps, and stamped
-  // pushes of any width are accepted with the stamp silently dropped.
-  SpscRing<double> ring(4);
-  EXPECT_EQ(ring.stamp_stride(), 0u);
-  const std::vector<double> frame{1.0, 2.0};
-  ASSERT_TRUE(ring.try_push(std::span<const double>(frame), 42));
-  std::vector<double> out(2, 0.0);
-  std::uint64_t stamp = 123;
-  ASSERT_TRUE(ring.try_pop(std::span<double>(out), &stamp));
-  EXPECT_EQ(stamp, 123u);  // untouched: no stamp storage exists
-  EXPECT_EQ(out, frame);
-}
-
-TEST(SpscRing, StampStrideMustDivideTheCapacity) {
-  EXPECT_THROW(SpscRing<double>(7, 3), PreconditionError);
-  EXPECT_NO_THROW(SpscRing<double>(9, 3));
+  ring.resize(1);  // shrinking works the same way
+  EXPECT_EQ(ring.capacity(), 1u);
+  EXPECT_TRUE(ring.try_push(7));
+  EXPECT_FALSE(ring.try_push(8));
 }
 
 /// Drives one producer thread against one consumer thread with seeded
@@ -259,9 +232,9 @@ TEST(SpscRing, SeededTwoThreadInterleavingsPreserveOrder) {
 }
 
 TEST(SpscRing, ConcurrentBulkFramesStayFrameAligned) {
-  // The host's usage shape: a ring of doubles, every transfer exactly one
-  // 3-wide frame. Frame k carries {3k, 3k+1, 3k+2}; any torn or
-  // misaligned transfer shows up as a value mismatch.
+  // The host's usage shape: every transfer exactly one fixed-width record
+  // (here a 3-wide frame of doubles). Frame k carries {3k, 3k+1, 3k+2};
+  // any torn or misaligned transfer shows up as a value mismatch.
   constexpr std::size_t kChannels = 3;
   constexpr std::uint64_t kFrames = 30'000;
   SpscRing<double> ring(8 * kChannels);

@@ -13,14 +13,14 @@
 //
 // The host shape is configurable: --shards picks the worker shard count
 // (0 = auto from AF_THREADS, 1 = shardless inline reference), --ring the
-// per-lane ingest ring capacity, --admission the full-ring policy
+// ingest queue frames per lane, --admission the full-queue policy
 // (block/reject) — see DESIGN.md §14.
 //
 // Sessions run under a deterministic TickClock by default (--tick-ns per
 // clock read), so the full output is byte-identical across runs, machines,
 // shard counts, and AF_THREADS settings; pass --tick-ns 0 to time with the
 // real monotonic clock instead. --load-series 1 opts into the
-// scheduling-dependent backpressure series (ring high-water, blocked
+// scheduling-dependent backpressure series (queue high-water, blocked
 // feeds, shard count), which trades that byte-identity away.
 #include <fstream>
 #include <iostream>
@@ -110,13 +110,15 @@ int run(int argc, char** argv) {
   cli.add_flag("shards", "0",
                "worker shards for the host (0: auto from AF_THREADS; "
                "1: shardless inline reference)");
-  cli.add_flag("ring", "1024", "per-lane ingest ring capacity in frames");
+  cli.add_flag("ring", "16",
+               "ingest queue frames per lane (a shard's queue holds this "
+               "times its lanes)");
   cli.add_flag("admission", "block",
-               "full-ring policy: block (lossless) or reject (bounded "
+               "full-queue policy: block (lossless) or reject (bounded "
                "latency, counted)");
   cli.add_flag("load-series", "0",
                "1: include the scheduling-dependent load series (shards, "
-               "ring high-water, blocked feeds) — these vary across "
+               "queue high-water, blocked feeds) — these vary across "
                "machines and runs, so the output is no longer "
                "byte-identical");
   cli.add_flag("format", "prometheus",

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gauntlet, CI-runnable: exits non-zero on any failure.
 #
-#   1. tier-1: standard build + full ctest suite
+#   1. tier-1: standard build + full ctest suite, then the host, ring and
+#      dataset-IO tests repeated under ctest -j to catch flakes
 #   2. observability: the instrumentation determinism/aggregation suites
 #   3. asan:   ASan/UBSan build of the model/session/concurrency suites
 #   4. bench:  hot-path microbenchmark smoke (incl. 0-allocs/frame check)
@@ -46,6 +47,13 @@ echo "== tier-1: build + ctest =="
 cmake -B "${BUILD}" -S "${ROOT}"
 cmake --build "${BUILD}" -j
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
+
+echo "== flake hunt: host/ring/telemetry/io tests, 5 parallel rounds =="
+# The tests most exposed to scheduling and shared-filesystem races run as
+# concurrent processes again, each until it fails or has passed 5 times,
+# so an order- or timing-dependent flake surfaces here first.
+ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:5 -R 'HostSharding|SpscRing|ShardTelemetry|DatasetIo'
 
 echo "== robustness: fault-injection + fuzz + golden-replay suites =="
 ctest --test-dir "${BUILD}" --output-on-failure -L robustness -j "$(nproc)"
