@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 #include "core/multi_session_host.hpp"
 #include "core/session.hpp"
 #include "obs/exposition.hpp"
@@ -219,17 +218,17 @@ struct BigSweepPoint {
 };
 
 /// Pulls {stage name -> p50_ns} out of a previously written report, so a
-/// run can record its per-stage speedup against a reference build (e.g.
-/// the -DAF_SIMD=OFF tree tools/run_bench.sh prepares). The stages array
-/// is emitted by this bench on a known single-line shape; scanning for
-/// the "name"/"p50_ns" pairs is enough.
+/// run can record its probe speedup against a reference run (the
+/// AF_PROBE_INCREMENTAL=0 pass tools/run_bench.sh prepares). The stages
+/// array is emitted by this bench on a known single-line shape; scanning
+/// for the "name"/"p50_ns" pairs is enough.
 std::vector<std::pair<std::string, double>> parse_ref_stage_p50s(
     const std::string& path) {
   std::vector<std::pair<std::string, double>> out;
   std::ifstream in(path);
   if (!in) {
-    std::cerr << "bench_inference: cannot read --ref-report " << path
-              << ", skipping stage speedups\n";
+    std::cerr << "bench_inference: cannot read --probe-ref-report " << path
+              << ", skipping the probe speedup\n";
     return out;
   }
   std::string text((std::istreambuf_iterator<char>(in)),
@@ -268,9 +267,6 @@ int main(int argc, char** argv) {
   cli.add_flag("baseline-fps", "0",
                "single-thread frames/sec of the path being compared "
                "against (0 = no comparison recorded)");
-  cli.add_flag("ref-report", "",
-               "previously written report to compute per-stage p50 "
-               "speedups against (empty = none recorded)");
   cli.add_flag("probe-ref-report", "",
                "report from an AF_PROBE_INCREMENTAL=0 run of this build; "
                "records probe_speedup_vs_ref (batch probe p50 / this "
@@ -289,12 +285,8 @@ int main(int argc, char** argv) {
   const auto big_frames =
       static_cast<std::size_t>(cli.get_int("big-frames"));
   const double baseline_fps = cli.get_double("baseline-fps");
-  const std::string ref_report = cli.get("ref-report");
   const std::string probe_ref_report = cli.get("probe-ref-report");
 
-  std::cout << "simd tier: " << simd::tier_name(simd::active_tier())
-            << " (detected " << simd::tier_name(simd::detected_tier())
-            << ")\n";
   std::cout << "training the shared bundle...\n";
   const auto bundle = bench::train_bundle(*args);
 
@@ -429,9 +421,6 @@ int main(int argc, char** argv) {
 
   const double speedup =
       baseline_fps > 0.0 ? single.frames_per_sec / baseline_fps : 0.0;
-  const std::vector<std::pair<std::string, double>> ref_stages =
-      ref_report.empty() ? std::vector<std::pair<std::string, double>>{}
-                         : parse_ref_stage_p50s(ref_report);
   // The incremental-probe win: probe-stage p50 of a batch-probe run of
   // this same build (AF_PROBE_INCREMENTAL=0) over this run's p50.
   double probe_ref_p50 = 0.0, probe_p50 = 0.0;
@@ -443,8 +432,6 @@ int main(int argc, char** argv) {
   }
   const auto emit = [&](std::ostream& os) {
     os << "{\n";
-    os << "  \"simd_tier\": \"" << simd::tier_name(simd::active_tier())
-       << "\",\n";
     os << "  \"frames_per_sec\": " << single.frames_per_sec << ",\n";
     os << "  \"p50_us\": " << single.p50_us << ",\n";
     os << "  \"p99_us\": " << single.p99_us << ",\n";
@@ -467,23 +454,6 @@ int main(int argc, char** argv) {
          << ", \"p999_ns\": " << s.p999_ns << "}";
     }
     os << "],\n";
-    if (!ref_stages.empty()) {
-      // Per-stage p50 speedup vs the reference report (typically the
-      // -DAF_SIMD=OFF tree): ref_p50 / this run's p50, per shared stage.
-      os << "  \"stage_speedup_vs_ref\": [";
-      bool first = true;
-      for (const auto& s : single.stages) {
-        for (const auto& [name, ref_p50] : ref_stages) {
-          if (name != s.name || s.p50_ns <= 0.0) continue;
-          os << (first ? "" : ", ") << "{\"name\": \"" << s.name
-             << "\", \"ref_p50_ns\": " << ref_p50
-             << ", \"p50_ns\": " << s.p50_ns
-             << ", \"speedup\": " << ref_p50 / s.p50_ns << "}";
-          first = false;
-        }
-      }
-      os << "],\n";
-    }
     if (probe_ref_p50 > 0.0 && probe_p50 > 0.0) {
       os << "  \"probe_speedup_vs_ref\": {\"ref_p50_ns\": " << probe_ref_p50
          << ", \"p50_ns\": " << probe_p50

@@ -1,60 +1,39 @@
-// Shared scalar reduction loops (satellite of DESIGN.md §15).
-//
-// Before the SIMD layer landed, the same handful of reduction loops —
-// plain sum, dot product, sum of squares, seeded max, weighted index sum —
-// were open-coded in dsp/, features/measures.cpp, features/bank.cpp and
-// core/ascending.cpp. They now live here once, as inline serial loops, so
-// every caller shares one definition and one accumulation order.
-//
-// Under -DAF_SIMD_FAST_MATH=ON the floating-point accumulating reductions
-// (sum / dot / energy) route through the reassociated simd kernels
-// (sum_fast / dot_fast), trading bit-stability for lane parallelism; the
-// epsilon contract is covered by tests/simd_test.cpp. min/max/argmax-style
-// reductions are order-free and never change.
+// Shared scalar reduction loops (DESIGN.md §15): plain sum, dot product,
+// sum of squares, element-wise accumulate, seeded max, weighted index sum.
+// They live here once, as inline serial loops, so every caller in dsp/,
+// features/, core/ and ml/ shares one definition and one accumulation
+// order.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
-#include "common/simd.hpp"
-
-#ifndef AF_SIMD_FAST_MATH
-#define AF_SIMD_FAST_MATH 0
-#endif
-
 namespace airfinger::common::reduce {
 
 /// Sum of all elements in ascending order (0 for empty input).
 inline double sum(std::span<const double> x) {
-#if AF_SIMD_FAST_MATH
-  return simd::kernels().sum_fast(x.data(), x.size());
-#else
   double s = 0.0;
   for (const double v : x) s += v;
   return s;
-#endif
 }
 
 /// Dot product in ascending order. Requires a.size() == b.size().
 inline double dot(std::span<const double> a, std::span<const double> b) {
-#if AF_SIMD_FAST_MATH
-  return simd::kernels().dot_fast(a.data(), b.data(), a.size());
-#else
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
-#endif
 }
 
 /// Sum of squares in ascending order (0 for empty input).
 inline double energy(std::span<const double> x) {
-#if AF_SIMD_FAST_MATH
-  return simd::kernels().dot_fast(x.data(), x.data(), x.size());
-#else
   double s = 0.0;
   for (const double v : x) s += v * v;
   return s;
-#endif
+}
+
+/// acc[i] += x[i] for every i < x.size(). Requires acc.size() >= x.size().
+inline void accumulate(std::span<double> acc, std::span<const double> x) {
+  for (std::size_t i = 0; i < x.size(); ++i) acc[i] += x[i];
 }
 
 /// Maximum of `seed` and every element, via sequential `v > m` updates —

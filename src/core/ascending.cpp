@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/reduce.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "dsp/filters.hpp"
 #include "dsp/xcorr.hpp"
@@ -122,8 +121,7 @@ SegmentTiming segment_timing(std::span<const std::span<const double>> windows,
   if (n > 0) {
     const std::span<double> envelope_raw = arena.alloc<double>(n);
     for (const auto& w : windows)
-      simd::kernels().accumulate(envelope_raw.data(), w.data(),
-                                 std::min(n, w.size()));
+      common::reduce::accumulate(envelope_raw, w.first(std::min(n, w.size())));
     const auto smooth = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                std::lround(config.envelope_smooth_s * sample_rate_hz)));
@@ -147,14 +145,14 @@ SegmentTiming segment_timing(std::span<const std::span<const double>> windows,
     // Accumulation stays in channel order, so esum keeps its bits.
     for (std::size_t c = 0; c < windows.size(); ++c) {
       if (c == 0) {
-        simd::kernels().accumulate(esum.data(), e1.data(), n);
+        common::reduce::accumulate(esum, e1);
       } else if (c + 1 == windows.size()) {
-        simd::kernels().accumulate(esum.data(), e3.data(), n);
+        common::reduce::accumulate(esum, e3);
       } else {
         const auto channel_frame = arena.frame();
         const std::span<double> es = arena.alloc<double>(n);
         dsp::moving_average_into(windows[c], a_smooth, es);
-        simd::kernels().accumulate(esum.data(), es.data(), n);
+        common::reduce::accumulate(esum, es);
       }
     }
     detail::asymmetry_stats(e1, e3, esum, sample_rate_hz, config, arena, out);

@@ -464,29 +464,4 @@ std::shared_ptr<const ModelBundle> ModelBundle::load_file(
   return load(is, base);
 }
 
-std::shared_ptr<const ModelBundle> ModelBundle::load_legacy(
-    std::istream& recognizer_stream, std::istream* filter_stream,
-    AirFingerConfig base) {
-  AirFingerConfig config = base;
-  DetectRecognizer recognizer =
-      DetectRecognizer::load(recognizer_stream, config.recognizer);
-  std::optional<InterferenceFilter> filter;
-  if (filter_stream) {
-    filter = InterferenceFilter::load(*filter_stream, recognizer.bank(),
-                                      config.interference);
-  } else {
-    config.interference_filtering = false;
-  }
-  return create(config, std::move(recognizer), std::move(filter));
-}
-
-bool ModelBundle::sniff_bundle(std::istream& is) {
-  const auto start = is.tellg();
-  std::string tag;
-  is >> tag;
-  is.clear();
-  is.seekg(start);
-  return tag == "afbundle";
-}
-
 }  // namespace airfinger::core

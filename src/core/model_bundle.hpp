@@ -13,8 +13,7 @@
 //
 // Persistence: a bundle serializes to one versioned artifact (tagged
 // header `afbundle 1`, ml/serialize-style line-oriented text with exact
-// hex-float doubles). Loaders also accept the legacy two-file layout
-// (`recognizer.af` + optional `filter.af`) written by pre-bundle tools.
+// hex-float doubles).
 #pragma once
 
 #include <cstdint>
@@ -196,18 +195,6 @@ class ModelBundle {
   /// load() from a file (opened std::ios::binary).
   static std::shared_ptr<const ModelBundle> load_file(
       const std::string& path, AirFingerConfig base = {});
-
-  /// Legacy two-file layout: a recognizer stream written by
-  /// DetectRecognizer::save plus an optional filter stream written by
-  /// InterferenceFilter::save. When `filter_stream` is null, interference
-  /// filtering is disabled in the resulting bundle's config.
-  static std::shared_ptr<const ModelBundle> load_legacy(
-      std::istream& recognizer_stream, std::istream* filter_stream,
-      AirFingerConfig base = {});
-
-  /// True when the stream starts with the `afbundle` tag (the stream
-  /// position is restored). Lets tools accept either artifact format.
-  static bool sniff_bundle(std::istream& is);
 
   /// Wall-clock nanoseconds load() spent verifying and parsing this
   /// artifact (0 for bundles built in-process). Deploy diagnostics:

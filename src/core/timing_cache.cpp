@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
+#include "common/reduce.hpp"
 #include "common/stats.hpp"
 #include "dsp/filters.hpp"
 
@@ -125,8 +125,8 @@ void OpenSegmentTiming::advance_moving_average(std::span<const double> x,
   // An entry i of moving_average(x, w) reads x[max(0, i-half) .. i+half];
   // at a previous length m it was final iff i + half + 1 <= m. Recompute
   // only the trailing entries the grow invalidated, through the same
-  // AF_SIMD moving_average_range kernel moving_average_into uses, so each
-  // revised entry is bit-identical to a full pass.
+  // loop moving_average_into runs, so each revised entry is bit-identical
+  // to a full pass.
   const std::size_t half = w / 2;
   const std::size_t m = out.size();
   const std::size_t revise = m > half ? m - half : 0;
@@ -151,11 +151,9 @@ bool OpenSegmentTiming::refresh(
   // regime switches the asymmetry analysis on — decision-relevant.
   bool changed = !have_refresh_ || (n_ >= 8) != (last_refresh_n_ >= 8);
 
-  // Advance the lazy moving-average caches lane by lane — each channel
-  // tail goes through the AF_SIMD moving_average_range kernel back to
-  // back — then rebuild the invalidated tail of the summed smoothed
-  // energy with the accumulate kernel (same channel-order additions as
-  // the batch path's esum build).
+  // Advance the lazy moving-average caches channel by channel, then
+  // rebuild the invalidated tail of the summed smoothed energy (same
+  // channel-order additions as the batch path's esum build).
   const std::size_t prev = channels_.front().smooth.size();
   for (std::size_t c = 0; c < channel_count_; ++c)
     advance_moving_average(windows[c], a_smooth_, channels_[c].smooth);
@@ -165,9 +163,9 @@ bool OpenSegmentTiming::refresh(
   std::fill(esum_.begin() + static_cast<std::ptrdiff_t>(revise), esum_.end(),
             0.0);
   for (std::size_t c = 0; c < channel_count_; ++c)
-    simd::kernels().accumulate(esum_.data() + revise,
-                               channels_[c].smooth.data() + revise,
-                               n_ - revise);
+    common::reduce::accumulate(
+        std::span<double>(esum_).subspan(revise),
+        std::span<const double>(channels_[c].smooth).subspan(revise));
 
   // ---- active-channel set via memoized ascending-point scans ----------
   double strongest = 0.0;
@@ -340,7 +338,7 @@ void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
 
   const double level = peak * config_.peak_level;
   const std::size_t support = peak_support_;
-  const auto& k = simd::kernels();
+  const std::span<const double> envelope{envelope_};
 
   // A peak decision at index i reads envelope[i ± support]; it is frozen
   // once that whole neighbourhood lies left of the frontier. `icut` is
@@ -349,24 +347,25 @@ void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
       frontier > 2 * support ? frontier - support : support;
   if (!(have_env_level_ && same_bits(level, last_env_level_))) {
     // The comparison level moved: every frozen decision is stale. Recount
-    // the frozen prefix in one kernel pass (slice counts are exact — each
+    // the frozen prefix in one pass (slice counts are exact — each
     // per-index decision reads only its own ±support neighbourhood).
-    env_count_prefix_ = k.count_peaks_at_least(
-        envelope_.data(), std::min(n_, icut + support), support, level);
+    env_count_prefix_ = dsp::count_peaks_at_least(
+        envelope.first(std::min(n_, icut + support)), support, level);
     env_icut_ = icut;
     have_env_level_ = true;
     last_env_level_ = level;
   } else if (icut > env_icut_) {
     // Freeze the decisions that became final since the last count.
-    env_count_prefix_ += k.count_peaks_at_least(
-        envelope_.data() + (env_icut_ - support),
-        (icut + support) - (env_icut_ - support), support, level);
+    env_count_prefix_ += dsp::count_peaks_at_least(
+        envelope.subspan(env_icut_ - support,
+                         (icut + support) - (env_icut_ - support)),
+        support, level);
     env_icut_ = icut;
   }
   // Live tail: decisions in [env_icut_, n - support) may still change.
   std::size_t count = env_count_prefix_;
-  count += k.count_peaks_at_least(envelope_.data() + (env_icut_ - support),
-                                  n_ - (env_icut_ - support), support, level);
+  count += dsp::count_peaks_at_least(envelope.subspan(env_icut_ - support),
+                                     support, level);
   // A monotone-edged single hump can have its maximum at the window edge
   // where find_peaks cannot see it; count at least one hump when any
   // energy is present (mirrors detail::envelope_stats).

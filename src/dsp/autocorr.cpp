@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/reduce.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 
 namespace airfinger::dsp {
@@ -49,8 +48,11 @@ void acf_into(std::span<const double> x, common::ScratchArena& arena,
   const double den = common::reduce::energy(d);
   if (den > 0.0) {
     const std::size_t lags = std::min(max_lag, n - 1);
-    simd::kernels().acf_numerators(d.data(), n, 0, lags + 1, out.data());
-    for (std::size_t k = 0; k <= lags; ++k) out[k] /= den;
+    for (std::size_t k = 0; k <= lags; ++k) {
+      double s = 0.0;
+      for (std::size_t i = 0; i + k < n; ++i) s += d[i] * d[i + k];
+      out[k] = s / den;
+    }
     for (std::size_t k = lags + 1; k <= max_lag; ++k) out[k] = 0.0;
   } else {
     for (double& o : out) o = 0.0;

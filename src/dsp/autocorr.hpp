@@ -25,10 +25,10 @@ std::vector<double> acf(std::span<const double> x, std::size_t max_lag);
 void acf_into(std::span<const double> x, std::span<double> out);
 
 /// acf_into() with the centred signal hoisted into `arena` scratch: the
-/// mean and the lag-0 denominator are computed once and the per-lag
-/// numerators run through the AF_SIMD acf_numerators kernel. Bit-identical
-/// to the per-lag reference — each accumulator keeps its own serial order
-/// and d[i] = x[i] - m is the same value the reference recomputes.
+/// mean and the lag-0 denominator are computed once, then each lag sums
+/// its numerator over the hoisted signal. Bit-identical to the per-lag
+/// reference — each accumulator keeps its own serial order and
+/// d[i] = x[i] - m is the same value the reference recomputes.
 /// Requires non-empty x.
 void acf_into(std::span<const double> x, common::ScratchArena& arena,
               std::span<double> out);

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace airfinger::dsp {
 
@@ -12,10 +11,34 @@ namespace {
 
 // Twiddle factors are the same for every block of a stage (the serial
 // w *= wlen chain restarts at 1 per block), so stages up to this many
-// butterflies hoist them into a stack buffer once and hand the blocks to
-// the AF_SIMD fft_stage kernel. The chain itself stays the serial
-// std::complex product — bit-identical to the former in-loop updates.
+// butterflies hoist them into a stack buffer once and run the blocks
+// through fft_stage. The chain itself stays the serial std::complex
+// product — bit-identical to the former in-loop updates.
 constexpr std::size_t kMaxStackTwiddles = 512;
+
+// One complex butterfly: (vr, vi) = v * w with the compiler's finite-path
+// complex-multiply order (ac - bd, ad + bc), then u +- v.
+void butterfly(double* u, double* v, double wr, double wi) {
+  const double vr = v[0] * wr - v[1] * wi;
+  const double vi = v[0] * wi + v[1] * wr;
+  const double ur = u[0], ui = u[1];
+  u[0] = ur + vr;
+  u[1] = ui + vi;
+  v[0] = ur - vr;
+  v[1] = ui - vi;
+}
+
+// One radix-2 stage over n complex values stored as interleaved (re, im)
+// doubles: every block of `len` values gets its len/2 butterflies with
+// the precomputed twiddles `tw` (interleaved re, im).
+void fft_stage(double* reim, std::size_t n, std::size_t len,
+               const double* tw) {
+  const std::size_t half = len / 2;
+  for (std::size_t i = 0; i < n; i += len)
+    for (std::size_t k = 0; k < half; ++k)
+      butterfly(reim + 2 * (i + k), reim + 2 * (i + k + half), tw[2 * k],
+                tw[2 * k + 1]);
+}
 
 }  // namespace
 
@@ -57,8 +80,7 @@ void fft_inplace(std::span<std::complex<double>> x, bool inverse) {
         tw[2 * k + 1] = w.imag();
         w *= wlen;
       }
-      simd::kernels().fft_stage(reinterpret_cast<double*>(x.data()), n, len,
-                                tw);
+      fft_stage(reinterpret_cast<double*>(x.data()), n, len, tw);
     } else {
       for (std::size_t i = 0; i < n; i += len) {
         std::complex<double> w(1.0, 0.0);

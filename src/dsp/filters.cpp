@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace airfinger::dsp {
 
@@ -17,10 +16,7 @@ std::vector<double> moving_average(std::span<const double> x, std::size_t w) {
 void moving_average_into(std::span<const double> x, std::size_t w,
                          std::span<double> out) {
   AF_EXPECT(!x.empty(), "moving_average requires non-empty input");
-  AF_EXPECT(w >= 1, "moving_average requires w >= 1");
-  AF_EXPECT(out.size() == x.size(), "moving_average output size mismatch");
-  simd::kernels().moving_average_range(x.data(), x.size(), w, 0, x.size(),
-                                       out.data());
+  moving_average_range_into(x, w, 0, out);
 }
 
 void moving_average_range_into(std::span<const double> x, std::size_t w,
@@ -28,8 +24,15 @@ void moving_average_range_into(std::span<const double> x, std::size_t w,
   AF_EXPECT(w >= 1, "moving_average requires w >= 1");
   AF_EXPECT(out.size() == x.size(), "moving_average output size mismatch");
   AF_EXPECT(from <= x.size(), "moving_average range start out of bounds");
-  simd::kernels().moving_average_range(x.data(), x.size(), w, from, x.size(),
-                                       out.data());
+  const std::size_t n = x.size();
+  const std::size_t half = w / 2;
+  for (std::size_t i = from; i < n; ++i) {
+    const std::size_t lo = i >= half ? i - half : 0;
+    const std::size_t hi = std::min(i + half + 1, n);
+    double s = 0.0;
+    for (std::size_t j = lo; j < hi; ++j) s += x[j];
+    out[i] = s / static_cast<double>(hi - lo);
+  }
 }
 
 std::vector<double> exponential_smooth(std::span<const double> x,
@@ -111,19 +114,24 @@ std::vector<std::size_t> find_peaks(std::span<const double> x,
 }
 
 std::size_t count_peaks(std::span<const double> x, std::size_t support) {
-  AF_EXPECT(support >= 1, "find_peaks requires support >= 1");
   // level = -HUGE_VAL admits every peak: a centre that is -inf (or NaN)
   // can never be strictly above a neighbour, so the >= level test only
   // ever sees finite peaks it accepts.
-  return simd::kernels().count_peaks_at_least(x.data(), x.size(), support,
-                                              -HUGE_VAL);
+  return count_peaks_at_least(x, support, -HUGE_VAL);
 }
 
 std::size_t count_peaks_at_least(std::span<const double> x,
                                  std::size_t support, double level) {
   AF_EXPECT(support >= 1, "find_peaks requires support >= 1");
-  return simd::kernels().count_peaks_at_least(x.data(), x.size(), support,
-                                              level);
+  std::size_t count = 0;
+  if (x.size() < 2 * support + 1) return count;
+  for (std::size_t i = support; i + support < x.size(); ++i) {
+    bool is_peak = true;
+    for (std::size_t k = 1; k <= support && is_peak; ++k)
+      is_peak = x[i] > x[i - k] && x[i] > x[i + k];
+    if (is_peak && x[i] >= level) ++count;
+  }
+  return count;
 }
 
 }  // namespace airfinger::dsp

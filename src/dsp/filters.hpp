@@ -12,10 +12,9 @@ namespace airfinger::dsp {
 std::vector<double> moving_average(std::span<const double> x, std::size_t w);
 
 /// moving_average writing into caller storage; out.size() == x.size().
-/// Routed through the AF_SIMD moving_average_range kernel, whose lane
-/// groups each reproduce the brute per-sample accumulation order — a
-/// sliding-sum rewrite would change the floating-point addition order and
-/// break the bit-exact determinism contract (DESIGN.md §9, §15).
+/// Each output sums its own window left to right — a sliding-sum rewrite
+/// would change the floating-point addition order and break the bit-exact
+/// determinism contract (DESIGN.md §9, §15).
 void moving_average_into(std::span<const double> x, std::size_t w,
                          std::span<double> out);
 

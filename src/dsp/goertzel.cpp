@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace airfinger::dsp {
 
@@ -43,18 +42,8 @@ void goertzel_magnitudes(std::span<const double> x,
   AF_EXPECT(!x.empty(), "goertzel_magnitude requires non-empty input");
   AF_EXPECT(out.size() == frequencies_hz.size(),
             "goertzel_magnitudes output size mismatch");
-  constexpr std::size_t kChunk = 32;
-  double coeff[kChunk];
-  double s1[kChunk];
-  double s2[kChunk];
-  for (std::size_t f0 = 0; f0 < frequencies_hz.size(); f0 += kChunk) {
-    const std::size_t k = std::min(kChunk, frequencies_hz.size() - f0);
-    for (std::size_t f = 0; f < k; ++f)
-      coeff[f] = goertzel_coefficient(frequencies_hz[f0 + f], sample_rate_hz);
-    simd::kernels().goertzel_batch(x.data(), x.size(), coeff, k, s1, s2);
-    for (std::size_t f = 0; f < k; ++f)
-      out[f0 + f] = block_magnitude(s1[f], s2[f], coeff[f], x.size());
-  }
+  for (std::size_t f = 0; f < frequencies_hz.size(); ++f)
+    out[f] = goertzel_magnitude(x, frequencies_hz[f], sample_rate_hz);
 }
 
 GoertzelDetector::GoertzelDetector(double frequency_hz,

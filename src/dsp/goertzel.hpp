@@ -19,10 +19,9 @@ namespace airfinger::dsp {
 double goertzel_magnitude(std::span<const double> x, double frequency_hz,
                           double sample_rate_hz);
 
-/// Batched one-shot Goertzel: out[f] = goertzel_magnitude(x,
-/// frequencies_hz[f], rate), bit-identically, with the recurrences of up
-/// to an AF_SIMD lane-group of frequencies advanced in lockstep per
-/// sample. Requires out.size() == frequencies_hz.size().
+/// One-shot Goertzel over several bins: out[f] = goertzel_magnitude(x,
+/// frequencies_hz[f], rate) for every f. Requires out.size() ==
+/// frequencies_hz.size().
 void goertzel_magnitudes(std::span<const double> x,
                          std::span<const double> frequencies_hz,
                          double sample_rate_hz, std::span<double> out);

@@ -1,10 +1,10 @@
 #include "dsp/wavelet.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace airfinger::dsp {
 
@@ -51,10 +51,18 @@ void cwt_row_with_wavelet_into(std::span<const double> x,
   AF_EXPECT(!x.empty(), "cwt_row requires non-empty input");
   AF_EXPECT(out.size() == x.size(), "cwt_row output size mismatch");
   AF_EXPECT(w.size() % 2 == 1, "cwt_row wavelet length must be odd");
-  // The kernel iterates only the in-range taps of each output, in the same
-  // ascending order as the historical skip-with-continue loop.
-  simd::kernels().conv_clipped(x.data(), x.size(), w.data(), w.size() / 2,
-                               out.data());
+  // Output i visits only its in-range taps k, 0 <= i + k - half < n, in
+  // ascending order: the same multiplications in the same order as the
+  // historical skip-with-continue loop, so the tight bounds keep the bits.
+  const std::size_t n = x.size();
+  const std::size_t half = w.size() / 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k0 = half > i ? half - i : 0;
+    const std::size_t k1 = std::min(w.size(), n + half - i);
+    double acc = 0.0;
+    for (std::size_t k = k0; k < k1; ++k) acc += x[i + k - half] * w[k];
+    out[i] = acc;
+  }
 }
 
 std::vector<std::vector<double>> cwt(std::span<const double> x,

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/reduce.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "dsp/autocorr.hpp"
 #include "dsp/fft.hpp"
@@ -180,7 +179,7 @@ void FeatureBank::extract_into(
   // Summed energy across channels, one contiguous accumulate per channel.
   const std::span<double> energy = arena.alloc<double>(n);
   for (const auto& ch : channels)
-    simd::kernels().accumulate(energy.data(), ch.data(), n);
+    common::reduce::accumulate(energy, ch);
 
   // Canonical form: log compression, fixed length, zero mean, unit var.
   // The linear resampler reads only the two samples bracketing each

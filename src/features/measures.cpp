@@ -8,7 +8,6 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 
 namespace airfinger::features {
@@ -20,22 +19,78 @@ double default_tolerance(std::span<const double> x, double r) {
   return 0.2 * common::stddev(x);
 }
 
-/// Counts template matches of length m within tolerance r (Chebyshev
-/// distance), excluding self-matches — shared by SampEn. Match counting
-/// is integer, so the AF_SIMD lane-parallel kernel is exact.
-std::size_t count_matches(std::span<const double> x, unsigned m, double r) {
-  return simd::kernels().count_matches(x.data(), x.size(), m, r);
+/// True when the length-m templates at i and j lie within Chebyshev
+/// distance r of each other.
+bool template_match(std::span<const double> x, std::size_t i, std::size_t j,
+                    std::size_t m, double r) {
+  bool match = true;
+  for (std::size_t k = 0; k < m && match; ++k)
+    match = std::fabs(x[i + k] - x[j + k]) <= r;
+  return match;
 }
 
 }  // namespace
+
+std::size_t detail::count_matches(std::span<const double> x, std::size_t m,
+                                  double r) {
+  const std::size_t n = x.size();
+  if (n < m) return 0;
+  const std::size_t templates = n - m + 1;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < templates; ++i)
+    for (std::size_t j = i + 1; j < templates; ++j)
+      if (template_match(x, i, j, m, r)) ++count;
+  return count;
+}
+
+double detail::apen_phi(std::span<const double> x, std::size_t m, double r) {
+  const std::size_t templates = x.size() - m + 1;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < templates; ++i) {
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < templates; ++j)
+      if (template_match(x, i, j, m, r)) ++count;
+    acc += std::log(static_cast<double>(count) /
+                    static_cast<double>(templates));
+  }
+  return acc / static_cast<double>(templates);
+}
+
+void detail::entropy_counts(std::span<const double> x, std::size_t m,
+                            double r, std::span<std::uint32_t> cm,
+                            std::span<std::uint32_t> cm1,
+                            std::size_t& pairs_m, std::size_t& pairs_m1) {
+  const std::size_t tm = x.size() - m + 1;  // templates of length m
+  const std::size_t tm1 = x.size() - m;     // templates of length m + 1
+  for (std::size_t i = 0; i < tm; ++i) cm[i] = 1;  // ApEn self-match
+  for (std::size_t i = 0; i < tm1; ++i) cm1[i] = 1;
+  std::size_t pm = 0, pm1 = 0;
+  for (std::size_t i = 0; i < tm; ++i)
+    for (std::size_t j = i + 1; j < tm; ++j)
+      if (template_match(x, i, j, m, r)) {
+        ++pm;
+        ++cm[i];
+        ++cm[j];
+        // A length-(m+1) match is a length-m match whose final offset is
+        // also within r — defined only when both templates still fit
+        // (j < tm1 implies i < tm1 since i < j).
+        if (j < tm1 && std::fabs(x[i + m] - x[j + m]) <= r) {
+          ++pm1;
+          ++cm1[i];
+          ++cm1[j];
+        }
+      }
+  pairs_m = pm;
+  pairs_m1 = pm1;
+}
 
 double sample_entropy(std::span<const double> x, unsigned m, double r) {
   const std::size_t n = x.size();
   if (n <= m + 1) return 0.0;
   const double tol = default_tolerance(x, r);
   if (tol <= 0.0) return 0.0;  // constant signal: perfectly regular
-  const auto b = static_cast<double>(count_matches(x, m, tol));
-  const auto a = static_cast<double>(count_matches(x, m + 1, tol));
+  const auto b = static_cast<double>(detail::count_matches(x, m, tol));
+  const auto a = static_cast<double>(detail::count_matches(x, m + 1, tol));
   if (b == 0.0) return 0.0;  // no templates match at length m either
   if (a == 0.0) {
     // Convention: cap at the information content of one match among all
@@ -53,11 +108,9 @@ double approximate_entropy(std::span<const double> x, unsigned m, double r) {
   const double tol = default_tolerance(x, r);
   if (tol <= 0.0) return 0.0;
 
-  // The kernel's per-template counts include the self-match, per the ApEn
-  // definition; the log-mean accumulates in template order on every tier.
-  const auto& k = simd::kernels();
-  return k.apen_phi(x.data(), n, m, tol) -
-         k.apen_phi(x.data(), n, m + 1, tol);
+  // The per-template counts include the self-match, per the ApEn
+  // definition; the log-mean accumulates in template order.
+  return detail::apen_phi(x, m, tol) - detail::apen_phi(x, m + 1, tol);
 }
 
 std::pair<double, double> entropy_pair(std::span<const double> x,
@@ -74,8 +127,7 @@ std::pair<double, double> entropy_pair(std::span<const double> x,
   const std::span<std::uint32_t> cm = arena.alloc<std::uint32_t>(tm);
   const std::span<std::uint32_t> cm1 = arena.alloc<std::uint32_t>(tm1);
   std::size_t pairs_m = 0, pairs_m1 = 0;
-  simd::kernels().entropy_counts(x.data(), n, m, tol, cm.data(), cm1.data(),
-                                 &pairs_m, &pairs_m1);
+  detail::entropy_counts(x, m, tol, cm, cm1, pairs_m, pairs_m1);
 
   // SampEn from the pair totals, with sample_entropy's exact special
   // cases (the counts equal count_matches(m) / count_matches(m+1)).

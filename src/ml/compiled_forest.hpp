@@ -17,10 +17,9 @@
 //     count. Distributions are non-negative, so accumulating the padding
 //     zeros is bit-identical to the reference path that skips the missing
 //     classes (only -0.0 + 0.0 could differ, and -0.0 never occurs).
-//   - predict_proba_into descends trees in chunks through the AF_SIMD
-//     forest_leaves kernel (a lane-group of trees advances one level per
-//     step on vector tiers); every lane follows the exact scalar branch
-//     rule and the leaf accumulation stays in tree order, so batching does
+//   - predict_proba_into descends trees in chunks, four interleaved walks
+//     at a time; every walk follows the exact branch rule of the tree
+//     walk and the leaf accumulation stays in tree order, so batching does
 //     not disturb the bit-identity invariant below.
 //
 // Invariant (locked by tests/compiled_forest_test.cpp): predictions are

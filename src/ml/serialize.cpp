@@ -41,8 +41,8 @@ void expect_tag(std::istream& is, const char* expected) {
 namespace {
 /// Plausibility ceiling for any serialized element count. Real models are
 /// orders of magnitude below this; a corrupted count above it must throw
-/// instead of driving a multi-gigabyte resize (the legacy two-file format
-/// carries no integrity footer, so loaders defend themselves).
+/// instead of driving a multi-gigabyte resize (a model stream carries no
+/// integrity footer of its own, so loaders defend themselves).
 constexpr std::size_t kMaxSerializedCount = std::size_t{1} << 24;
 
 std::size_t read_capped_count(std::istream& is, const char* what) {

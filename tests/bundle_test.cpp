@@ -1,7 +1,7 @@
 // Tests for the ModelBundle / Session split: single-file artifact
-// round-trips (bit-identical predictions), legacy two-file loading,
-// malformed-input rejection, zero-copy shared ownership of the models,
-// and MultiSessionHost event equivalence with standalone sessions.
+// round-trips (bit-identical predictions), malformed-input rejection,
+// zero-copy shared ownership of the models, and MultiSessionHost event
+// equivalence with standalone sessions.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -101,38 +101,6 @@ TEST(Bundle, RoundTripIsBitIdentical) {
   EXPECT_EQ(first.str(), resaved.str());
 }
 
-TEST(Bundle, LegacyTwoFileLoadMatchesBundle) {
-  const auto& original = trained_bundle();
-  ASSERT_TRUE(original->filter().has_value());
-
-  std::stringstream rec_file, filter_file;
-  original->recognizer().save(rec_file);
-  original->filter()->save(filter_file);
-
-  // The legacy pair carries no engine config; supply the trained scalars
-  // through `base` the way pre-bundle deployments configured the engine.
-  const auto loaded =
-      core::ModelBundle::load_legacy(rec_file, &filter_file,
-                                     original->config());
-  for (const auto& probe : probe_corpus().samples)
-    expect_events_identical(original->classify_recording(probe.trace),
-                            loaded->classify_recording(probe.trace));
-}
-
-TEST(Bundle, LegacyLoadWithoutFilterDisablesFiltering) {
-  const auto& original = trained_bundle();
-  std::stringstream rec_file;
-  original->recognizer().save(rec_file);
-  const auto loaded = core::ModelBundle::load_legacy(rec_file, nullptr);
-  EXPECT_FALSE(loaded->config().interference_filtering);
-  EXPECT_FALSE(loaded->filter().has_value());
-  // Still a functional engine.
-  const auto events =
-      loaded->classify_recording(probe_corpus().samples.front().trace);
-  for (const auto& e : events)
-    EXPECT_NE(e.type, core::GestureEvent::Type::kNonGesture);
-}
-
 TEST(Bundle, MalformedHeaderRejected) {
   std::stringstream wrong_tag("not_a_bundle 1\n");
   EXPECT_THROW(core::ModelBundle::load(wrong_tag), PreconditionError);
@@ -204,19 +172,6 @@ TEST(Bundle, FuzzedArtifactsAlwaysRejectedNeverCrash) {
     if (mangled == full) continue;  // flips cancelled each other out
     expect_rejected(mangled, "bit flips, case " + std::to_string(c));
   }
-}
-
-TEST(Bundle, SniffDistinguishesFormatsAndRestoresStream) {
-  std::stringstream artifact;
-  trained_bundle()->save(artifact);
-  EXPECT_TRUE(core::ModelBundle::sniff_bundle(artifact));
-  // The sniff must not consume the stream: a full load still works.
-  EXPECT_NO_THROW(core::ModelBundle::load(artifact));
-
-  std::stringstream legacy;
-  trained_bundle()->recognizer().save(legacy);
-  EXPECT_FALSE(core::ModelBundle::sniff_bundle(legacy));
-  EXPECT_NO_THROW(core::DetectRecognizer::load(legacy));
 }
 
 TEST(Session, ConstructionSharesModelsWithoutCopying) {

@@ -77,6 +77,33 @@ TEST(CompiledForest, BitIdenticalToReferenceForest) {
   }
 }
 
+// 70 trees: one full 64-tree traversal chunk plus a 6-tree chunk, whose
+// last two trees fall outside the 4-way interleaved descent and take the
+// one-at-a-time tail.
+TEST(CompiledForest, BatchedDescentBitIdenticalToReference) {
+  constexpr std::size_t kCols = 12;
+  ml::RandomForestConfig config;
+  config.num_trees = 70;
+  config.seed = 99;
+  ml::RandomForest forest(config);
+  forest.fit(make_training_set(160, kCols, 4, 7));
+  const ml::CompiledForest compiled(forest);
+  ASSERT_TRUE(compiled.compiled());
+  ASSERT_EQ(compiled.tree_count(), config.num_trees);
+
+  std::mt19937_64 rng(123);
+  std::uniform_real_distribution<double> value(-3.0, 3.0);
+  std::vector<double> x(kCols);
+  std::vector<double> proba(compiled.num_classes());
+  for (int trial = 0; trial < 100; ++trial) {
+    for (auto& v : x) v = value(rng);
+    const std::vector<double> ref = forest.predict_proba(x);
+    compiled.predict_proba_into(x, proba);
+    for (std::size_t c = 0; c < ref.size(); ++c)
+      expect_bits(ref[c], proba[c], "batched forest");
+  }
+}
+
 TEST(CompiledForest, ForestIntoOverloadMatchesAllocatingPath) {
   constexpr std::size_t kCols = 6;
   ml::RandomForestConfig config;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +15,7 @@
 #include "dsp/dynamic_threshold.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/filters.hpp"
+#include "dsp/goertzel.hpp"
 #include "dsp/sbc.hpp"
 #include "dsp/wavelet.hpp"
 #include "dsp/xcorr.hpp"
@@ -428,6 +432,91 @@ TEST(Xcorr, ConstantSignalGivesZeroCorrelation) {
   const std::vector<double> a(50, 1.0);
   const std::vector<double> b(50, 2.0);
   EXPECT_DOUBLE_EQ(correlation_at_lag(a, b, 0), 0.0);
+}
+
+// ------------------------------------- partial / hoisted / batched paths
+// Each fast path must reproduce its plain reference bit for bit: the
+// streaming timing cache and the feature bank rely on it.
+
+void expect_bits(double a, double b, const std::string& what) {
+  std::uint64_t ba = 0, bb = 0;
+  std::memcpy(&ba, &a, sizeof(a));
+  std::memcpy(&bb, &b, sizeof(b));
+  EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
+}
+
+std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> value(-2.0, 2.0);
+  std::vector<double> x(n);
+  for (auto& v : x) v = value(rng);
+  return x;
+}
+
+TEST(Filters, MovingAverageRangeMatchesFullPass) {
+  // A partial update over [from, n) must write exactly the bits a full
+  // pass writes at those positions — the streaming timing cache depends
+  // on this.
+  const std::size_t n = 97;
+  const std::vector<double> x = random_signal(n, 71);
+  for (const std::size_t w :
+       {std::size_t{3}, std::size_t{9}, std::size_t{33}}) {
+    std::vector<double> full(n);
+    moving_average_into(x, w, full);
+    for (const std::size_t from : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{40}, std::size_t{96},
+                                   std::size_t{97}}) {
+      std::vector<double> partial(n, -1000.0);
+      moving_average_range_into(x, w, from, partial);
+      for (std::size_t i = from; i < n; ++i)
+        expect_bits(full[i], partial[i],
+                    "range w=" + std::to_string(w) +
+                        " from=" + std::to_string(from) + " i=" +
+                        std::to_string(i));
+      for (std::size_t i = 0; i < from; ++i)
+        EXPECT_EQ(partial[i], -1000.0) << "wrote before from";
+    }
+  }
+}
+
+TEST(Autocorr, HoistedAcfMatchesPerLagReference) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t n : {96, 255, 301}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    const std::vector<double> x = random_signal(n, 43 + n);
+    const std::size_t max_lag = n + 2;  // deliberately beyond n
+    std::vector<double> per_lag(max_lag + 1);
+    acf_into(x, per_lag);
+    std::vector<double> hoisted(max_lag + 1);
+    common::ScratchArena arena;
+    acf_into(x, arena, hoisted);
+    for (std::size_t k = 0; k <= max_lag; ++k)
+      expect_bits(per_lag[k], hoisted[k],
+                  "acf per-lag-vs-hoisted n=" + std::to_string(n) +
+                      " lag=" + std::to_string(k));
+  }
+  // Zero-variance convention survives the hoisting.
+  const std::vector<double> flat(32, 3.25);
+  std::vector<double> out(5);
+  common::ScratchArena arena;
+  acf_into(flat, arena, out);
+  EXPECT_EQ(out[0], 1.0);
+  for (std::size_t k = 1; k < out.size(); ++k) EXPECT_EQ(out[k], 0.0);
+}
+
+TEST(Goertzel, BatchMatchesSingleBitIdentically) {
+  const double rate = 1000.0;
+  std::vector<double> frequencies;
+  for (int f = 1; f <= 37; ++f) frequencies.push_back(12.5 * f);
+  for (const std::size_t n : {std::size_t{16}, std::size_t{301}}) {
+    const std::vector<double> x = random_signal(n, 101 + n);
+    std::vector<double> batched(frequencies.size());
+    goertzel_magnitudes(x, frequencies, rate, batched);
+    for (std::size_t f = 0; f < frequencies.size(); ++f)
+      expect_bits(goertzel_magnitude(x, frequencies[f], rate), batched[f],
+                  "goertzel f=" + std::to_string(f));
+  }
 }
 
 }  // namespace

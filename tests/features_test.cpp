@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <random>
+#include <string>
 
+#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/filters.hpp"
@@ -313,6 +316,88 @@ TEST(Bank, CustomOptionsChangeArity) {
   const FeatureBank small(opt);
   const FeatureBank standard;
   EXPECT_LT(small.feature_count(), standard.feature_count());
+}
+
+// ------------------------------------------------ fused entropy sweep
+
+std::vector<double> uniform_signal(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> value(-2.0, 2.0);
+  std::vector<double> x(n);
+  for (auto& v : x) v = value(rng);
+  return x;
+}
+
+// Lengths 1..17 plus a few longer ones.
+std::vector<std::size_t> entropy_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t n : {96, 255, 301}) lengths.push_back(n);
+  return lengths;
+}
+
+TEST(Measures, FusedEntropyCountsMatchSeparateCounts) {
+  constexpr std::size_t m = 2;
+  const double r = 0.35;
+  for (const std::size_t n : entropy_lengths()) {
+    if (n <= m + 1) continue;  // entropy_counts precondition
+    const std::vector<double> x = uniform_signal(n, 505 + n);
+    const std::size_t tm = n - m + 1;
+    const std::size_t tm1 = n - m;
+
+    // Independent references: the pair totals from count_matches, the
+    // per-template counts from a plain double loop over ALL ordered
+    // (i, j) including the self-match.
+    const auto cheb = [&](std::size_t i, std::size_t j, std::size_t mm) {
+      for (std::size_t k = 0; k < mm; ++k)
+        if (std::fabs(x[i + k] - x[j + k]) > r) return false;
+      return true;
+    };
+    std::vector<std::uint32_t> want_cm(tm, 0), want_cm1(tm1, 0);
+    for (std::size_t i = 0; i < tm; ++i)
+      for (std::size_t j = 0; j < tm; ++j)
+        if (cheb(i, j, m)) ++want_cm[i];
+    for (std::size_t i = 0; i < tm1; ++i)
+      for (std::size_t j = 0; j < tm1; ++j)
+        if (cheb(i, j, m + 1)) ++want_cm1[i];
+
+    std::vector<std::uint32_t> cm(tm), cm1(tm1);
+    std::size_t pm = 0, pm1 = 0;
+    detail::entropy_counts(x, m, r, cm, cm1, pm, pm1);
+    const std::string what = "entropy_counts n=" + std::to_string(n);
+    EXPECT_EQ(detail::count_matches(x, m, r), pm) << what;
+    EXPECT_EQ(detail::count_matches(x, m + 1, r), pm1) << what;
+    EXPECT_EQ(want_cm, cm) << what;
+    EXPECT_EQ(want_cm1, cm1) << what;
+
+    // apen_phi's log-mean over the same per-template counts.
+    const auto phi = [](const std::vector<std::uint32_t>& counts) {
+      double acc = 0.0;
+      for (const std::uint32_t c : counts)
+        acc += std::log(static_cast<double>(c) /
+                        static_cast<double>(counts.size()));
+      return acc / static_cast<double>(counts.size());
+    };
+    EXPECT_EQ(detail::apen_phi(x, m, r), phi(cm)) << what;
+    EXPECT_EQ(detail::apen_phi(x, m + 1, r), phi(cm1)) << what;
+  }
+}
+
+TEST(Measures, EntropyPairMatchesSeparateMeasuresBitExact) {
+  common::ScratchArena arena;
+  for (const std::size_t n : entropy_lengths()) {
+    if (n < 4) continue;
+    const std::vector<double> x = uniform_signal(n, 909 + n);
+    const auto [sampen, apen] = entropy_pair(x, arena);
+    const double want_sampen = sample_entropy(x);
+    const double want_apen = approximate_entropy(x);
+    EXPECT_EQ(0, std::memcmp(&sampen, &want_sampen, sizeof(double)))
+        << "entropy_pair sampen n=" << n << ": " << sampen << " vs "
+        << want_sampen;
+    EXPECT_EQ(0, std::memcmp(&apen, &want_apen, sizeof(double)))
+        << "entropy_pair apen n=" << n << ": " << apen << " vs "
+        << want_apen;
+  }
 }
 
 }  // namespace

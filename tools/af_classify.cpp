@@ -1,11 +1,9 @@
 // af_classify — classify a corpus with saved models and report accuracy.
 //
 //   af_classify --corpus test.csv --bundle models.af
-//   af_classify --corpus test.csv --recognizer rec.af [--filter f.af]
 //
-// Accepts either the single-file `afbundle` artifact or the legacy
-// two-file layout. Exits non-zero on any parse/validation failure.
-#include <fstream>
+// Reads the single-file `afbundle` artifact af_train writes. Exits
+// non-zero on any parse/validation failure.
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -19,38 +17,15 @@ using namespace airfinger;
 
 namespace {
 
-std::shared_ptr<const core::ModelBundle> load_models(
-    const common::Cli& cli) {
-  if (!cli.get("bundle").empty()) {
-    return core::ModelBundle::load_file(cli.get("bundle"));
-  }
-  // Legacy two-file layout. Binary mode: hex-float text round-trips
-  // byte-identically across platforms.
-  std::ifstream rec_in(cli.get("recognizer"), std::ios::binary);
-  AF_EXPECT(static_cast<bool>(rec_in),
-            "cannot open " + cli.get("recognizer"));
-  if (cli.get("filter").empty())
-    return core::ModelBundle::load_legacy(rec_in, nullptr);
-  std::ifstream filter_in(cli.get("filter"), std::ios::binary);
-  AF_EXPECT(static_cast<bool>(filter_in),
-            "cannot open " + cli.get("filter"));
-  return core::ModelBundle::load_legacy(rec_in, &filter_in);
-}
-
 int run(int argc, char** argv) {
   common::Cli cli("af_classify",
                   "classify a corpus with saved models and report accuracy");
   cli.add_flag("corpus", "corpus.csv", "input corpus");
-  cli.add_flag("bundle", "",
-               "single-file model bundle ('' = use --recognizer/--filter)");
-  cli.add_flag("recognizer", "recognizer.af",
-               "legacy recognizer model (ignored when --bundle is set)");
-  cli.add_flag("filter", "",
-               "legacy interference filter ('' = filtering disabled)");
+  cli.add_flag("bundle", "models.af", "single-file model bundle");
   if (!cli.parse(argc, argv)) return 0;
 
   const auto dataset = synth::load_dataset_csv(cli.get("corpus"));
-  core::AirFinger engine(load_models(cli));
+  core::AirFinger engine(core::ModelBundle::load_file(cli.get("bundle")));
 
   ml::ConfusionMatrix cm(synth::kGestureCount + 1, [] {
     std::vector<std::string> names =

@@ -1,12 +1,11 @@
 // af_inspect — show what a saved model artifact contains and learned.
 //
-//   af_inspect --model models.af        # afbundle or legacy recognizer
+//   af_inspect --model models.af
 //   af_inspect --model models.af --stats --trace rec.aftrace
 //
-// The format is sniffed from the header: an `afbundle` artifact prints its
-// version, configuration summary, and filter block in addition to the
-// recognizer's selected features; a legacy `af_recognizer` file prints the
-// feature table only. Exits non-zero on any parse failure.
+// Prints an `afbundle` artifact's version, configuration summary, and
+// filter block, then the recognizer's selected features. Exits non-zero on
+// any parse failure.
 //
 // With --stats, an `.aftrace` recording (sensor/trace_io.hpp) is replayed
 // through one Session over the bundle under a deterministic TickClock
@@ -15,7 +14,6 @@
 // host would export, reproducible byte-for-byte across runs (DESIGN.md
 // §13). --format selects prometheus (default) or json for the metrics.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <memory>
 
@@ -110,10 +108,8 @@ void print_stats(const std::shared_ptr<const core::ModelBundle>& bundle,
 }
 
 int run(int argc, char** argv) {
-  common::Cli cli("af_inspect",
-                  "inspect a saved model bundle or legacy recognizer");
-  cli.add_flag("model", "models.af",
-               "model file (afbundle or legacy af_recognizer format)");
+  common::Cli cli("af_inspect", "inspect a saved model bundle");
+  cli.add_flag("model", "models.af", "model bundle (afbundle format)");
   cli.add_flag("stats", "false",
                "replay --trace through a Session and print its metrics");
   cli.add_flag("trace", "", "aftrace recording to replay (with --stats)");
@@ -124,27 +120,16 @@ int run(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const std::string path = cli.get("model");
-  std::ifstream in(path, std::ios::binary);
-  AF_EXPECT(static_cast<bool>(in), "cannot open " + path);
-
+  const auto bundle = core::ModelBundle::load_file(path);
   if (cli.get_bool("stats")) {
-    AF_EXPECT(core::ModelBundle::sniff_bundle(in),
-              "--stats requires an afbundle artifact");
     AF_EXPECT(!cli.get("trace").empty(),
               "--stats requires --trace <file.aftrace>");
-    print_stats(core::ModelBundle::load(in), cli.get("trace"),
+    print_stats(bundle, cli.get("trace"),
                 static_cast<std::uint64_t>(cli.get_int("tick-ns")),
                 cli.get("format"));
     return 0;
   }
-
-  if (core::ModelBundle::sniff_bundle(in)) {
-    print_bundle(path, *core::ModelBundle::load(in));
-  } else {
-    const core::DetectRecognizer rec = core::DetectRecognizer::load(in);
-    std::cout << path << ": legacy recognizer\n";
-    print_feature_table(rec);
-  }
+  print_bundle(path, *bundle);
   return 0;
 }
 

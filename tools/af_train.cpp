@@ -2,14 +2,12 @@
 //
 //   af_train --corpus corpus.csv --bundle models.af
 //
-// The default output is the single-file `afbundle` artifact (config +
+// The output is the single-file `afbundle` artifact (config +
 // recognizer + optional interference filter, see core/model_bundle.hpp).
-// The legacy two-file layout is still available via --recognizer/--filter.
 //
 // The corpus must contain the designed gestures; the interference filter
 // additionally needs non-gesture samples (af_collect --non_gestures).
 // Exits non-zero on any parse/validation failure.
-#include <fstream>
 #include <iostream>
 
 #include "common/cli.hpp"
@@ -25,12 +23,7 @@ namespace {
 int run(int argc, char** argv) {
   common::Cli cli("af_train", "train and save airFinger models");
   cli.add_flag("corpus", "corpus.csv", "input corpus (af_collect output)");
-  cli.add_flag("bundle", "models.af",
-               "output single-file model bundle ('' to skip)");
-  cli.add_flag("recognizer", "",
-               "also write the legacy recognizer file ('' to skip)");
-  cli.add_flag("filter", "",
-               "also write the legacy interference-filter file ('' to skip)");
+  cli.add_flag("bundle", "models.af", "output single-file model bundle");
   if (!cli.parse(argc, argv)) return 0;
 
   std::cout << "loading " << cli.get("corpus") << "...\n";
@@ -62,33 +55,14 @@ int run(int argc, char** argv) {
                  "filtering disabled (re-collect with --non_gestures)\n";
   }
 
-  if (!cli.get("recognizer").empty()) {
-    // Binary mode keeps the hex-float text byte-identical across platforms
-    // (no newline translation).
-    std::ofstream out(cli.get("recognizer"), std::ios::binary);
-    AF_EXPECT(static_cast<bool>(out),
-              "cannot open " + cli.get("recognizer") + " for writing");
-    recognizer.save(out);
-    std::cout << "  wrote " << cli.get("recognizer") << " (legacy)\n";
-  }
-  if (!cli.get("filter").empty() && filter) {
-    std::ofstream out(cli.get("filter"), std::ios::binary);
-    AF_EXPECT(static_cast<bool>(out),
-              "cannot open " + cli.get("filter") + " for writing");
-    filter->save(out);
-    std::cout << "  wrote " << cli.get("filter") << " (legacy)\n";
-  }
-
-  if (!cli.get("bundle").empty()) {
-    core::AirFingerConfig config;
-    config.interference_filtering = filter.has_value();
-    const auto bundle = core::ModelBundle::create(
-        config, std::move(recognizer), std::move(filter));
-    bundle->save_file(cli.get("bundle"));
-    std::cout << "  wrote " << cli.get("bundle") << " (afbundle v"
-              << core::ModelBundle::kFormatVersion << ", filter "
-              << (bundle->filter() ? "included" : "absent") << ")\n";
-  }
+  core::AirFingerConfig config;
+  config.interference_filtering = filter.has_value();
+  const auto bundle = core::ModelBundle::create(config, std::move(recognizer),
+                                                std::move(filter));
+  bundle->save_file(cli.get("bundle"));
+  std::cout << "  wrote " << cli.get("bundle") << " (afbundle v"
+            << core::ModelBundle::kFormatVersion << ", filter "
+            << (bundle->filter() ? "included" : "absent") << ")\n";
   return 0;
 }
 

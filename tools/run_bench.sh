@@ -114,18 +114,6 @@ best_of() {
   done
 }
 
-# SIMD reference: one bench pass from a -DAF_SIMD=OFF tree gives the
-# scalar-only per-stage p50s; the main run records its selected SIMD tier
-# and per-stage speedups against them (stage_speedup_vs_ref) so the
-# kernel layer's effect stays visible in the tracked baseline.
-SIMD_OFF_BUILD="${BUILD}-simd-off"
-SIMD_REF="$(mktemp /tmp/BENCH_inference.simdoff.XXXXXX.json)"
-cmake -B "${SIMD_OFF_BUILD}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=Release \
-  -DAF_OBS_SPANS=ON -DAF_SIMD=OFF
-cmake --build "${SIMD_OFF_BUILD}" -j --target bench_inference
-"${SIMD_OFF_BUILD}/bench/bench_inference" --passes 2 --streams 2 \
-  --baseline-fps "${BASELINE_FPS}" --out "${SIMD_REF}"
-
 # Incremental-probe reference: the SAME build run with the batch probe
 # (AF_PROBE_INCREMENTAL=0) gives the O(n·w)-per-probe per-stage p50s; the
 # main run records probe_speedup_vs_ref against them so the event-driven
@@ -137,11 +125,9 @@ AF_PROBE_INCREMENTAL=0 "${BUILD}/bench/bench_inference" --passes 2 \
 # The tracked baseline carries the 10k-stream sharded-host sweep
 # (host_scaling_10k) alongside the single-session numbers.
 best_of "${BUILD}/bench/bench_inference" "${ROOT}/BENCH_inference.json" \
-  --big-streams 10000 --ref-report "${SIMD_REF}" \
-  --probe-ref-report "${PROBE_REF}"
+  --big-streams 10000 --probe-ref-report "${PROBE_REF}"
 FPS_ON="${BEST_FPS}"
 echo "run_bench: probe speedup vs batch probe: $(sed -n 's/^  \"probe_speedup_vs_ref\": \(.*\),$/\1/p' "${ROOT}/BENCH_inference.json")"
-echo "run_bench: simd tier $(sed -n 's/^  "simd_tier": "\(.*\)",$/\1/p' "${ROOT}/BENCH_inference.json"), stage speedups vs scalar: $(sed -n 's/^  "stage_speedup_vs_ref": \(.*\),$/\1/p' "${ROOT}/BENCH_inference.json")"
 # bench_host_scaling enforces its own scaling gates (bit identity across
 # shard counts always; the >=1.6x 4-shard speedup and monotonicity floors
 # whenever the hardware actually has >=4 threads) and exits non-zero on a

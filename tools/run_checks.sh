@@ -21,11 +21,12 @@
 # (the TickClock determinism contract for the trace exporter).
 # Canonical build-dir layout (README.md): the tier-1 tree lives at
 # <build-dir> and every auxiliary tree nests under <build-dir>/aux
-# (<build-dir>/aux/asan, /aux/tsan, /aux/bench), so one ignored root holds
-# all generated trees. The aux/ level is load-bearing: the tier-1 tree
-# writes a CTestTestfile.cmake for every source subdir (bench/, tests/,
-# ...), so a nested full configure at e.g. <build-dir>/bench would
-# overwrite it and leak the auxiliary tree's tests into tier-1 ctest.
+# (<build-dir>/aux/asan, /aux/tsan, /aux/native, /aux/bench), so one
+# ignored root holds all generated trees. The aux/ level is load-bearing:
+# the tier-1 tree writes a CTestTestfile.cmake for every source subdir
+# (bench/, tests/, ...), so a nested full configure at e.g.
+# <build-dir>/bench would overwrite it and leak the auxiliary tree's tests
+# into tier-1 ctest.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -77,7 +78,7 @@ cmake -B "${ASAN_BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=address,undefined
 cmake --build "${ASAN_BUILD}" -j \
-  --target bundle_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
+  --target bundle_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 "${ASAN_BUILD}/tests/bundle_test"
 "${ASAN_BUILD}/tests/serialize_test"
 "${ASAN_BUILD}/tests/core_test"
@@ -86,27 +87,26 @@ cmake --build "${ASAN_BUILD}" -j \
 "${ASAN_BUILD}/tests/host_shard_test"
 "${ASAN_BUILD}/tests/probe_test"
 "${ASAN_BUILD}/tests/compiled_forest_test"
-"${ASAN_BUILD}/tests/simd_test"
 "${ASAN_BUILD}/tests/fault_injection_test"
 "${ASAN_BUILD}/tests/artifact_test"
 "${ASAN_BUILD}/tests/obs_test"
 "${ASAN_BUILD}/tests/obs_pipeline_test"
 "${ASAN_BUILD}/tests/trace_test"
 
-echo "== simd-off cross-check: -DAF_SIMD=OFF tree must replay the goldens =="
-# The default (AF_SIMD=ON) tree already proved golden byte-identity above;
-# replaying the same goldens from a scalar-only tree proves the two trees
-# produce byte-identical pipelines transitively, and simd_test keeps the
-# kernel layer honest when only the scalar table is compiled in.
-SIMD_OFF_BUILD="${BUILD}/aux/simd-off"
-cmake -B "${SIMD_OFF_BUILD}" -S "${ROOT}" -DAF_SIMD=OFF
-cmake --build "${SIMD_OFF_BUILD}" -j \
-  --target golden_replay_test simd_test compiled_forest_test dsp_test features_test
-"${SIMD_OFF_BUILD}/tests/golden_replay_test"
-"${SIMD_OFF_BUILD}/tests/simd_test"
-"${SIMD_OFF_BUILD}/tests/compiled_forest_test"
-"${SIMD_OFF_BUILD}/tests/dsp_test"
-"${SIMD_OFF_BUILD}/tests/features_test"
+echo "== native cross-check: -DAF_NATIVE=ON tree must replay the goldens =="
+# -march=native lets the compiler use whatever the build machine offers,
+# FMA included. af_common pins -ffp-contract=off, so no a*b + c may fuse
+# and the native tree must replay the goldens byte-identically; the
+# dsp/features/forest suites pin the kernels' bit-identity contracts in
+# the same tree.
+NATIVE_BUILD="${BUILD}/aux/native"
+cmake -B "${NATIVE_BUILD}" -S "${ROOT}" -DAF_NATIVE=ON
+cmake --build "${NATIVE_BUILD}" -j \
+  --target golden_replay_test dsp_test features_test compiled_forest_test
+"${NATIVE_BUILD}/tests/golden_replay_test"
+"${NATIVE_BUILD}/tests/dsp_test"
+"${NATIVE_BUILD}/tests/features_test"
+"${NATIVE_BUILD}/tests/compiled_forest_test"
 
 if [[ "${TRACE_SMOKE}" == "1" ]]; then
   echo "== trace smoke: exporter determinism + cross-gate golden guard =="

@@ -14,7 +14,7 @@ BUILD="${1:-${ROOT}/build/aux/tsan}"
 cmake -B "${BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=thread
-cmake --build "${BUILD}" -j --target parallel_test spsc_ring_test host_shard_test probe_test determinism_test core_test bundle_test compiled_forest_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
+cmake --build "${BUILD}" -j --target parallel_test spsc_ring_test host_shard_test probe_test determinism_test core_test bundle_test compiled_forest_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export AF_THREADS="${AF_THREADS:-4}"
@@ -31,9 +31,6 @@ export AF_THREADS="${AF_THREADS:-4}"
 "${BUILD}/tests/core_test"
 "${BUILD}/tests/bundle_test"
 "${BUILD}/tests/compiled_forest_test"
-# simd_test flips the process-wide kernel table; running it under TSan
-# checks the atomic dispatch pointer against the sharded host's readers.
-"${BUILD}/tests/simd_test"
 "${BUILD}/tests/fault_injection_test"
 # Artifact detectors + graded repair/escalation: per-session state only,
 # but the storm sweeps replay through full Sessions so the held-frame
