@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
   trainer.sessions = 2;
   trainer.repetitions = args->reps;
   trainer.seed = args->seed ^ 0xAB1E;
-  core::AirFinger engine = core::build_engine(trainer);
+  const auto bundle = core::build_bundle(trainer);
   RouterScore hybrid;
   for (const auto& s : data.samples) {
-    const auto v = core::run_sample(engine, s);
+    const auto v = core::run_sample(*bundle, s);
     if (!v.detected || v.rejected || !v.predicted) continue;
     hybrid.cm.add(truth_label(s.kind),
                   synth::is_track_aimed(*v.predicted) ? 1 : 0);

@@ -13,6 +13,7 @@
 
 #include "common/parallel.hpp"
 #include "core/data_processor.hpp"
+#include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "core/training.hpp"
 #include "core/zebra.hpp"
@@ -131,13 +132,13 @@ BENCHMARK(BM_ZebraTrack);
 // --- Full streaming frame path (the real-time budget: must be far below
 // the 10 ms frame interval of the 100 Hz prototype).
 static void BM_EnginePushFrame(benchmark::State& state) {
-  static core::AirFinger engine = [] {
+  static core::Session engine = [] {
     core::TrainerConfig config;
     config.users = 2;
     config.sessions = 1;
     config.repetitions = 4;
     config.seed = 0xE11;
-    return core::build_engine(config);
+    return core::Session(core::build_bundle(config));
   }();
   const auto& s = sample_data().samples.front();
   std::vector<double> frame(3);

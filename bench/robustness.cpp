@@ -19,8 +19,9 @@
 //     binary's own counting operator-new hook — the artifact path rides
 //     the 0-alloc hot path, held frames and all.
 //
-// --smoke shrinks the substrate for CI gating (tools/run_checks.sh
-// --robustness-smoke); gates are identical, only the sample is smaller.
+// --smoke shrinks the substrate for CI gating (tools/run_bench.sh --smoke,
+// which tools/run_checks.sh runs); gates are identical, only the sample is
+// smaller.
 #include <algorithm>
 #include <atomic>
 #include <cmath>

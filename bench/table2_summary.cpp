@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   trainer.sessions = 2;
   trainer.repetitions = args->reps;
   trainer.seed = args->seed ^ 0x2B2B;
-  core::AirFinger engine = core::build_engine(trainer);
+  const auto bundle = core::build_bundle(trainer);
 
   // Direction accuracy is conditioned on a scroll verdict (the paper's
   // Sec. V-G measures direction recognition); the routing rate itself is
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   std::vector<core::PipelineVerdict> verdicts;
   for (const auto& s : data.samples) {
     if (!synth::is_track_aimed(s.kind)) continue;
-    const auto v = core::run_sample(engine, s);
+    const auto v = core::run_sample(*bundle, s);
     ++scrolls_seen;
     if (!v.scroll) continue;
     ++scrolls_tracked;

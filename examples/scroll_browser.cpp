@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   trainer.sessions = 2;
   trainer.repetitions = 8;
   trainer.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  core::AirFinger engine = core::build_engine(trainer);
+  const auto bundle = core::build_bundle(trainer);
 
   // A fresh user scrolls through the article.
   synth::CollectionConfig config;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   int rated = 0;
   double rating_sum = 0.0;
   for (const auto& s : session.samples) {
-    const auto v = core::run_sample(engine, s);
+    const auto v = core::run_sample(*bundle, s);
     std::cout << "\n  user performs: " << synth::motion_name(s.kind)
               << " (true displacement "
               << common::Table::num(s.scroll->displacement_m * 1000.0, 0)

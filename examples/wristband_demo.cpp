@@ -52,9 +52,8 @@ int main(int argc, char** argv) {
                                 non_part.samples.begin(),
                                 non_part.samples.end());
   }
-  core::AirFinger engine =
-      core::build_engine_from(core::AirFingerConfig{}, gestures,
-                              non_gestures);
+  const auto bundle = core::build_bundle_from(core::AirFingerConfig{},
+                                              gestures, non_gestures);
 
   common::Table table({"condition", "gestures", "recognized", "accuracy",
                        "scroll direction"});
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
 
     int correct = 0, dir_total = 0, dir_ok = 0;
     for (const auto& s : data.samples) {
-      const auto v = core::run_sample(engine, s);
+      const auto v = core::run_sample(*bundle, s);
       if (v.predicted == s.kind) ++correct;
       if (synth::is_track_aimed(s.kind) && v.scroll) {
         ++dir_total;

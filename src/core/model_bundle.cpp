@@ -53,6 +53,8 @@ ModelBundle::ModelBundle(AirFingerConfig config, DetectRecognizer recognizer,
       timing_shared_(config.router.timing == config.zebra.timing) {
   AF_EXPECT(config_.sample_rate_hz > 0.0, "sample rate must be positive");
   AF_EXPECT(config_.channels >= 2, "engine requires at least two channels");
+  AF_EXPECT(config_.channels <= kMaxTimingChannels,
+            "engine supports at most kMaxTimingChannels channels");
   AF_EXPECT(recognizer_.is_fitted(),
             "ModelBundle requires a fitted recognizer");
   AF_EXPECT(!config_.interference_filtering || (filter_ &&
@@ -139,7 +141,7 @@ std::optional<ScrollEstimate> ModelBundle::probe_direction(
   // with the window even when the timing state does not.
   const bool changed = cache.refresh(windows);
   if (!changed && cache.probe_verdict_no_emit()) return std::nullopt;
-  const SegmentTiming timing = cache.timing(windows, arena);
+  const SegmentTiming timing = cache.timing(windows);
   if (router_.route_timing(timing) != GestureCategory::kTrackAimed) {
     cache.record_probe_verdict_no_emit(true);
     return std::nullopt;

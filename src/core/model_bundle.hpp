@@ -99,7 +99,7 @@ class ModelBundle {
   static constexpr int kFormatVersion = 1;
 
   /// Requires a fitted recognizer and (when filtering is enabled) a fitted
-  /// filter; validates the configuration.
+  /// filter; validates the configuration (2..kMaxTimingChannels channels).
   ModelBundle(AirFingerConfig config, DetectRecognizer recognizer,
               std::optional<InterferenceFilter> filter);
 
@@ -132,20 +132,23 @@ class ModelBundle {
   GestureEvent decide(const ProcessedTrace& view, const dsp::Segment& local,
                       features::Workspace& workspace) const;
 
-  /// The early-direction probe of the streaming path: routes the (still
-  /// open) segment and, when it is track-aimed, runs ZEBRA on it — sharing
-  /// one SegmentTiming between the two when their configs agree. Returns
+  /// The early-direction probe, batch form: routes the (still open)
+  /// segment and, when it is track-aimed, runs ZEBRA on it — sharing one
+  /// SegmentTiming between the two when their configs agree. Returns
   /// nullopt for detect-aimed or undecidable windows. Allocation-free at
   /// the workspace's high-water mark; bit-identical to
   /// `router().route(...) == kTrackAimed ? zebra().track(...) : nullopt`.
+  /// Sessions use the cached overload below; this one is the reference
+  /// the probe-parity tests compare it against.
   std::optional<ScrollEstimate> probe_direction(
       const ProcessedTrace& view, const dsp::Segment& local,
       features::Workspace& workspace) const;
 
-  /// probe_direction() reading the segment timing from an incrementally
-  /// maintained cache instead of recomputing it over the whole open window:
-  /// amortized O(n) per probe instead of O(n·w). `cache` must be configured
-  /// with probe_timing_config() and contain exactly the samples of
+  /// The probe the streaming path runs: probe_direction() reading the
+  /// segment timing from an incrementally maintained cache instead of
+  /// recomputing it over the whole open window — amortized O(n) per probe
+  /// instead of O(n·w). `cache` must be configured with
+  /// probe_timing_config() and contain exactly the samples of
   /// `view`/`local` (which must span the full view). Bit-identical to the
   /// cacheless overload.
   std::optional<ScrollEstimate> probe_direction(

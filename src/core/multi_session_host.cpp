@@ -17,18 +17,16 @@ namespace airfinger::core {
 
 namespace {
 /// A queue record is `kRecordHeader + channels` 64-bit words: the lane
-/// index, the feed()-time ingest stamp (0 when tracing is compiled out),
-/// then the frame's samples, bit-cast from double so they round-trip
-/// exactly.
+/// index, the feed()-time ingest stamp, then the frame's samples, bit-cast
+/// from double so they round-trip exactly.
 constexpr std::size_t kRecordHeader = 2;
 
 /// Wall clock for the shard telemetry and the ingest stamps. Deliberately
 /// NOT the session's injectable clock: queue wait and busy fractions
 /// describe real scheduling on this machine, are exposed only behind
 /// include_load_series, and must never add reads to the per-session
-/// clock sequence (which the determinism goldens pin). Unused when
-/// tracing is compiled out.
-[[maybe_unused]] std::uint64_t host_now_ns() {
+/// clock sequence (which the determinism goldens pin).
+std::uint64_t host_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -218,21 +216,17 @@ std::size_t MultiSessionHost::drain_queue(Shard& shard) const {
   const std::size_t batch = shard.queue.size() / shard.pop_record.size();
   if (batch == 0) return 0;
   shard.high_water = std::max(shard.high_water, batch);
-#if AF_OBS_TRACE_ENABLED
   ShardStats& stats = shard.stats;
   const std::uint64_t t0 = host_now_ns();
-#endif
   for (std::size_t k = 0; k < batch; ++k) {
     shard.queue.try_pop(shard.pop_record);  // cannot fail: `batch` queued
     const std::uint64_t* record = shard.pop_record.data();
-#if AF_OBS_TRACE_ENABLED
     // One queue-wait sample per batch: its first (oldest) record, which
     // bounds the residency of everything behind it.
-    if (k == 0 && record[1] != 0)
+    if (k == 0)
       stats.registry.observe(
           stats.wait_hist,
           t0 > record[1] ? static_cast<double>(t0 - record[1]) : 0.0);
-#endif
     const auto index = static_cast<std::size_t>(record[0]);
     Lane& lane = *lanes_[index];
     FeedSlot& slot = feed_slots_[index];
@@ -263,22 +257,18 @@ std::size_t MultiSessionHost::drain_queue(Shard& shard) const {
       quarantine("unknown stream fault");
     }
   }
-#if AF_OBS_TRACE_ENABLED
   stats.registry.inc(stats.frames_drained, batch);
   stats.registry.inc(stats.drain_batches);
   stats.registry.observe(stats.batch_hist, static_cast<double>(batch));
   stats.registry.inc(stats.busy_ns, host_now_ns() - t0);
-#endif
   return batch;
 }
 
 void MultiSessionHost::worker_loop(Shard& shard) {
-  [[maybe_unused]] ShardStats& stats = shard.stats;
+  ShardStats& stats = shard.stats;
   for (;;) {
     if (drain_queue(shard) != 0) continue;
-#if AF_OBS_TRACE_ENABLED
     stats.registry.inc(stats.idle_passes);
-#endif
 
     std::unique_lock<std::mutex> lock(shard.m);
     if (shard.stop) return;
@@ -290,18 +280,14 @@ void MultiSessionHost::worker_loop(Shard& shard) {
       shard.parked.store(false, std::memory_order_relaxed);
       continue;
     }
-#if AF_OBS_TRACE_ENABLED
     stats.registry.inc(stats.parks);
     const std::uint64_t park_t0 = host_now_ns();
-#endif
     shard.idle_cv.notify_all();
     shard.cv.wait(lock, [&] {
       return shard.stop || !shard.parked.load(std::memory_order_relaxed);
     });
-#if AF_OBS_TRACE_ENABLED
     stats.registry.inc(stats.parked_ns, host_now_ns() - park_t0);
     stats.registry.inc(stats.unparks);
-#endif
     if (shard.stop) return;
   }
 }
@@ -347,11 +333,9 @@ bool MultiSessionHost::feed(std::size_t session,
   Shard& shard = *shards_[slot.shard];
   std::uint64_t* record = shard.push_record.data();
   record[0] = session;
-#if AF_OBS_TRACE_ENABLED
   // Ingest stamp: lets the consumer turn this record's queue residency
   // into the measured queue_wait stage.
   record[1] = host_now_ns();
-#endif
   for (std::size_t c = 0; c < channels_; ++c)
     record[kRecordHeader + c] = std::bit_cast<std::uint64_t>(frame[c]);
 

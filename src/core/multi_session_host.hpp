@@ -95,11 +95,11 @@ struct ShardTelemetry {
   /// Largest batch: the most frames the consumer ever found queued on the
   /// shard. Exact in inline mode, where the caller drains only at pump()
   /// or on a full queue; a lower bound on the true peak while a worker
-  /// drains concurrently. Tracked without tracing.
+  /// drains concurrently.
   std::size_t occupancy_high_water = 0;
 
   /// Fraction of accounted wall time spent draining (busy vs parked).
-  /// 0 when nothing was accounted yet (or tracing is compiled out).
+  /// 0 when nothing was accounted yet.
   double busy_fraction() const {
     const double accounted =
         static_cast<double>(busy_ns) + static_cast<double>(parked_ns);
@@ -262,9 +262,7 @@ class MultiSessionHost {
   /// busy vs parked wall time, drained frame/batch totals with a batch
   /// size median, queue-wait quantiles from the records' ingest stamps,
   /// and the shard queue's occupancy high-water. Inline mode exposes
-  /// shard 0 (the caller-thread pseudo-shard). Apart from the lane count
-  /// and the high-water, counters only move when tracing is compiled in
-  /// (AF_OBS_TRACE, DESIGN.md §18); with it off they read zero.
+  /// shard 0 (the caller-thread pseudo-shard). DESIGN.md §18.
   ShardTelemetry shard_telemetry(std::size_t shard) const;
 
   /// Convenience driver: one trace per session, fanned out round-robin —

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -17,19 +16,6 @@ dsp::SegmenterConfig session_segmenter_config(
   dsp::SegmenterConfig seg = bundle->config().processing.segmenter;
   seg.sample_rate_hz = bundle->config().sample_rate_hz;
   return seg;
-}
-
-// AF_PROBE_INCREMENTAL=0 forces the early-direction probe onto the batch
-// segment_timing() path (no cache, no change-detection gate). Emissions
-// are bit-identical either way — tools/run_checks.sh replays the golden
-// traces with this set to prove it — so the switch exists purely as a
-// byte-exact cross-check and an escape hatch.
-bool incremental_probe_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("AF_PROBE_INCREMENTAL");
-    return v == nullptr || !(v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
 }
 }  // namespace
 
@@ -55,9 +41,8 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
     ch.reserve(config().history_limit + config().history_limit / 2);
   open_view_.sample_rate_hz = config().sample_rate_hz;
   open_view_.delta_rss2.resize(config().channels);
-  if (config().channels <= kMaxTimingChannels && incremental_probe_enabled())
-    timing_cache_.configure(config().channels, config().sample_rate_hz,
-                            bundle_->probe_timing_config());
+  timing_cache_.configure(config().channels, config().sample_rate_hz,
+                          bundle_->probe_timing_config());
   last_sample_.assign(config().channels,
                       std::numeric_limits<double>::quiet_NaN());
   same_run_.assign(config().channels, 0);
@@ -245,7 +230,7 @@ void Session::recalibrate() {
   segment_offset_ = frames_;
   open_view_valid_ = false;
   early_direction_sent_ = false;
-  if (timing_cache_.configured()) timing_cache_.begin_segment();
+  timing_cache_.begin_segment();
   // Recalibration is a fresh start for the artifact layer too: the
   // adaptive statistics re-learn the post-fault signal (warmup keeps them
   // quiet meanwhile), and the sustained-confidence runs restart.
@@ -542,12 +527,8 @@ void Session::ingest(std::span<const double> frame,
   // Per-frame stage spans (ingest / timing_cache / probe) are sampled
   // 1-in-N on a deterministic counter so steady-state clock reads stay
   // within the tracing overhead budget; segment-level spans always record.
-#if AF_OBS_SPANS_ENABLED
   obs::PipelineObservability* const frame_obs =
       obs_.sample_frame() ? &obs_ : nullptr;
-#else
-  obs::PipelineObservability* const frame_obs = nullptr;
-#endif
 
   double energy = 0.0;
   const bool was_open = segmenter_.in_gesture();
@@ -578,7 +559,7 @@ void Session::ingest(std::span<const double> frame,
     for (auto& ch : open_view_.delta_rss2) ch.clear();
     open_view_.energy.clear();
     open_view_valid_ = true;
-    if (timing_cache_.configured()) timing_cache_.begin_segment();
+    timing_cache_.begin_segment();
     obs_.registry().inc(obs_.segments_opened);
     obs_.record(obs::PipelineEvent::Kind::kSegmentOpen, frames_,
                 open_segment_begin_, frames_);
@@ -592,7 +573,7 @@ void Session::ingest(std::span<const double> frame,
     open_view_.energy.push_back(energy);
     // Feed the probe's incremental timing analysis; once the early verdict
     // is out no probe will read it again this segment.
-    if (timing_cache_.configured() && !early_direction_sent_) {
+    if (!early_direction_sent_) {
       obs::Span span(frame_obs, obs::Stage::kTimingCache);
       double deltas[kMaxTimingChannels];
       for (std::size_t c = 0; c < history_.size(); ++c)
@@ -615,10 +596,8 @@ void Session::ingest(std::span<const double> frame,
       const dsp::Segment local{0, open_len};
       const auto est = [&] {
         obs::Span span(frame_obs, obs::Stage::kProbe);
-        return timing_cache_.configured()
-                   ? bundle_->probe_direction(open_view_, local, workspace_,
-                                              timing_cache_)
-                   : bundle_->probe_direction(open_view_, local, workspace_);
+        return bundle_->probe_direction(open_view_, local, workspace_,
+                                        timing_cache_);
       }();
       if (est) {
         GestureEvent event;
@@ -689,7 +668,7 @@ void Session::reset() {
   for (auto& ch : open_view_.delta_rss2) ch.clear();
   open_view_.energy.clear();
   open_view_valid_ = false;
-  if (timing_cache_.configured()) timing_cache_.begin_segment();
+  timing_cache_.begin_segment();
   obs_.reset_values();
   quarantined_ = false;
   clean_run_ = 0;

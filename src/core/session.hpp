@@ -41,9 +41,6 @@ class Session {
   Session(std::shared_ptr<const ModelBundle> bundle, FaultPolicy policy);
 
   const ModelBundle& bundle() const { return *bundle_; }
-  const std::shared_ptr<const ModelBundle>& bundle_ptr() const {
-    return bundle_;
-  }
   const AirFingerConfig& config() const { return bundle_->config(); }
 
   /// Feeds one frame (one RSS sample per channel). Events triggered by
@@ -167,7 +164,7 @@ class Session {
   /// Incremental timing analysis over the open segment: fed one frame at a
   /// time so each early-direction probe costs amortized O(n) instead of
   /// recomputing segment_timing() from scratch. Configured from the
-  /// bundle's probe timing config when the channel count supports it.
+  /// bundle's probe timing config.
   OpenSegmentTiming timing_cache_;
   /// Metrics, stage spans, and the pipeline-event ring (DESIGN.md §13).
   /// Record-only: nothing in here feeds back into any decision, so

@@ -376,9 +376,7 @@ void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
 }
 
 SegmentTiming OpenSegmentTiming::timing(
-    std::span<const std::span<const double>> windows,
-    common::ScratchArena& arena) {
-  (void)arena;  // Scratch now lives in the cache; kept for API stability.
+    std::span<const std::span<const double>> windows) {
   refresh(windows);
 
   SegmentTiming out;

@@ -83,8 +83,7 @@ class OpenSegmentTiming {
   /// channel c's ΔRSS² over exactly the appended samples (the open-segment
   /// view the deltas came from). Bit-identical to
   /// segment_timing(windows, sample_rate_hz, config, arena).
-  SegmentTiming timing(std::span<const std::span<const double>> windows,
-                       common::ScratchArena& arena);
+  SegmentTiming timing(std::span<const std::span<const double>> windows);
 
   /// Verdict memo for the early-direction probe: true iff the last probe
   /// over this segment concluded "no emission" (detect-aimed). Combined

@@ -124,16 +124,4 @@ std::shared_ptr<const ModelBundle> build_bundle(const TrainerConfig& config,
   return build_bundle_from(config.engine, gestures, non, report);
 }
 
-AirFinger build_engine(const TrainerConfig& config, TrainingReport* report) {
-  return AirFinger(build_bundle(config, report));
-}
-
-AirFinger build_engine_from(const AirFingerConfig& engine_config,
-                            const synth::Dataset& gestures,
-                            const synth::Dataset& non_gestures,
-                            TrainingReport* report) {
-  return AirFinger(
-      build_bundle_from(engine_config, gestures, non_gestures, report));
-}
-
 }  // namespace airfinger::core

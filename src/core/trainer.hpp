@@ -1,15 +1,15 @@
 // One-call training flow: synthesize (or accept) datasets, fit the detect
 // recognizer and the interference filter, and assemble the frozen
-// ModelBundle (or a ready AirFinger engine over it). This is the entry
-// point the examples use.
+// ModelBundle. This is the entry point the examples use; serve the bundle
+// with `core::Session session(core::build_bundle(...))`.
 #pragma once
 
-#include "core/airfinger.hpp"
+#include "core/model_bundle.hpp"
 #include "synth/dataset.hpp"
 
 namespace airfinger::core {
 
-/// Training-set sizing for build_engine.
+/// Training-set sizing for build_bundle.
 struct TrainerConfig {
   AirFingerConfig engine{};
   /// Gesture training protocol (defaults: a reduced version of Sec. V-B
@@ -41,16 +41,5 @@ std::shared_ptr<const ModelBundle> build_bundle(
 std::shared_ptr<const ModelBundle> build_bundle_from(
     const AirFingerConfig& engine_config, const synth::Dataset& gestures,
     const synth::Dataset& non_gestures, TrainingReport* report = nullptr);
-
-/// Trains both models on synthesized data and returns a ready engine
-/// (build_bundle + one Session).
-AirFinger build_engine(const TrainerConfig& config,
-                       TrainingReport* report = nullptr);
-
-/// build_bundle_from + one Session.
-AirFinger build_engine_from(const AirFingerConfig& engine_config,
-                            const synth::Dataset& gestures,
-                            const synth::Dataset& non_gestures,
-                            TrainingReport* report = nullptr);
 
 }  // namespace airfinger::core

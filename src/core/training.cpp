@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/airfinger.hpp"
+#include "core/model_bundle.hpp"
 
 namespace airfinger::core {
 
@@ -162,10 +162,10 @@ ml::ConfusionMatrix evaluate_split(DetectRecognizer& recognizer,
   return cm;
 }
 
-PipelineVerdict run_sample(AirFinger& engine,
+PipelineVerdict run_sample(const ModelBundle& bundle,
                            const synth::GestureSample& sample) {
   const std::vector<GestureEvent> events =
-      engine.classify_recording(sample.trace);
+      bundle.classify_recording(sample.trace);
 
   const double rate = sample.trace.sample_rate_hz();
   const double mid =

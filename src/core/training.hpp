@@ -77,9 +77,9 @@ struct PipelineVerdict {
   std::optional<ScrollEstimate> scroll;
 };
 
-/// Runs one recorded sample through a (reset) engine and summarizes the
-/// event closest to the ground-truth gesture window.
-PipelineVerdict run_sample(class AirFinger& engine,
+/// Classifies one recorded sample offline (ModelBundle::classify_recording)
+/// and summarizes the event closest to the ground-truth gesture window.
+PipelineVerdict run_sample(const class ModelBundle& bundle,
                            const synth::GestureSample& sample);
 
 }  // namespace airfinger::core

@@ -178,8 +178,8 @@ PipelineObservability::PipelineObservability(std::size_t ring_capacity)
         HistogramSpec{});
   }
   // Gesture-trace series (DESIGN.md §18). Registered unconditionally so the
-  // metric schema — and therefore host aggregation — is identical across
-  // AF_OBS_TRACE on/off trees; the series only move when tracing records.
+  // metric schema — and therefore host aggregation — does not depend on
+  // the trace switch; the series only move when tracing records.
   // e2e spans 10 us (tick-clock replay) to 10 s (a live gesture's real
   // duration), log-spaced.
   gesture_e2e_ = registry_.histogram(
@@ -217,12 +217,9 @@ void PipelineObservability::record(PipelineEvent::Kind kind,
   event.kind = kind;
   event.detail = detail;
   if (!ring_.push(event)) registry_.inc(trace_dropped_);
-#if AF_OBS_TRACE_ENABLED
   if (trace_enabled_) route_trace(event);
-#endif
 }
 
-#if AF_OBS_TRACE_ENABLED
 void PipelineObservability::route_trace(const PipelineEvent& e) {
   const std::uint64_t completed_before = recorder_.completed_total();
   const std::uint64_t evicted_before = recorder_.dropped();
@@ -275,11 +272,9 @@ void PipelineObservability::route_trace(const PipelineEvent& e) {
   if (const std::uint64_t d = recorder_.dropped() - evicted_before)
     registry_.inc(traces_evicted_, d);
 }
-#endif
 
 void PipelineObservability::capture_postmortem(FlightReason reason,
                                                std::uint64_t frame) {
-#if AF_OBS_TRACE_ENABLED
   if (!flight_.begin_capture(reason, frame)) return;
   std::array<PipelineEvent, FlightRecorder::kDefaultEventCapacity> tail;
   const std::size_t n = ring_.copy_recent(tail.data(), tail.size());
@@ -296,10 +291,6 @@ void PipelineObservability::capture_postmortem(FlightReason reason,
   if (const GestureTrace* last = recorder_.latest())
     flight_.capture_trace(*last);
   if (recorder_.active()) flight_.capture_trace(recorder_.active_trace());
-#else
-  (void)reason;
-  (void)frame;
-#endif
 }
 
 void PipelineObservability::reset_values() {

@@ -10,13 +10,11 @@
 // recording paths are allocation-free, preserving the hot path's
 // 0-allocs/frame invariant with instrumentation enabled.
 //
-// Stage timing is captured by RAII Span objects. When the build compiles
-// spans out (-DAF_OBS_SPANS=OFF → AF_OBS_SPANS_ENABLED 0), Span is an
-// empty type and the hot path carries zero clock reads; when compiled in,
-// a per-object runtime switch (`set_spans_enabled`) can still silence them,
-// and the per-frame stages are deterministically sampled 1-in-N
-// (`set_sample_every`, default 16) so steady-state clock reads stay within
-// the tracing overhead budget enforced by tools/run_bench.sh.
+// Stage timing is captured by RAII Span objects. A per-object runtime
+// switch (`set_spans_enabled`) silences them, and the per-frame stages are
+// deterministically sampled 1-in-N (`set_sample_every`, default 16) so
+// steady-state clock reads stay within the tracing overhead budget that
+// tools/run_bench.sh enforces (observability on vs off in one process).
 // Observability is record-only either way: it never feeds back into any
 // decision, so emissions are bit-identical with tracing on or off.
 #pragma once
@@ -30,10 +28,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-#ifndef AF_OBS_SPANS_ENABLED
-#define AF_OBS_SPANS_ENABLED 1
-#endif
 
 namespace airfinger::obs {
 
@@ -136,9 +130,9 @@ class PipelineObservability {
   void set_clock(std::unique_ptr<Clock> clock);
   Clock& clock() { return *clock_; }
 
-  /// Runtime span switch (only meaningful when spans are compiled in).
+  /// Runtime span switch.
   void set_spans_enabled(bool enabled) { spans_enabled_ = enabled; }
-  bool spans_enabled() const { return AF_OBS_SPANS_ENABLED && spans_enabled_; }
+  bool spans_enabled() const { return spans_enabled_; }
 
   /// Sampling rate for the per-frame stage spans (ingest / timing_cache /
   /// probe): every n-th frame carries them, starting with the first. The
@@ -161,11 +155,10 @@ class PipelineObservability {
   static constexpr std::uint32_t kDefaultSampleEvery = 16;
 
   // ------------------------------------------------------------ tracing
-  /// Runtime trace switch (only meaningful when tracing is compiled in;
-  /// -DAF_OBS_TRACE=OFF removes the recording hooks entirely). Tracing is
-  /// record-only — emissions are byte-identical with it on or off.
+  /// Runtime trace switch. Tracing is record-only — emissions are
+  /// byte-identical with it on or off.
   void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
-  bool trace_enabled() const { return AF_OBS_TRACE_ENABLED && trace_enabled_; }
+  bool trace_enabled() const { return trace_enabled_; }
 
   /// Stream identity stamped on exported traces and flight artifacts
   /// (the host sets its lane index; standalone sessions keep 0).
@@ -192,15 +185,12 @@ class PipelineObservability {
   }
 
   /// Span completion path: feeds the stage histogram and, when a gesture
-  /// trace is live, appends the span to it. Compiled down to the bare
-  /// histogram observe under -DAF_OBS_TRACE=OFF.
+  /// trace is live, appends the span to it.
   void observe_span(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns) {
     observe_stage(stage, t1_ns - t0_ns);
-#if AF_OBS_TRACE_ENABLED
     if (trace_enabled_ && recorder_.active())
       recorder_.add_span(static_cast<std::uint8_t>(stage), t0_ns,
                          t1_ns - t0_ns);
-#endif
   }
 
   /// Records one structured event; timestamps it from the clock and
@@ -257,12 +247,10 @@ class PipelineObservability {
   void dump_events(std::ostream& os) const;
 
  private:
-#if AF_OBS_TRACE_ENABLED
   /// Interprets one recorded pipeline event as a trace-lifecycle step
   /// (segment open/close/reject/emit, quarantine → flight capture) and
   /// keeps the gesture-trace registry series in step with the recorder.
   void route_trace(const PipelineEvent& event);
-#endif
 
   std::unique_ptr<Clock> clock_;
   Registry registry_;
@@ -282,11 +270,9 @@ class PipelineObservability {
 
 /// RAII stage timer. Construct with the owning component's observability
 /// (nullptr tolerated: the span is inert, which is how un-instrumented
-/// callers of the bundle's decision core skip tracing). Compiled out
-/// entirely under -DAF_OBS_SPANS=OFF.
+/// callers of the bundle's decision core skip tracing).
 class Span {
  public:
-#if AF_OBS_SPANS_ENABLED
   Span(PipelineObservability* obs, Stage stage) : stage_(stage) {
     if (obs && obs->spans_enabled()) {
       obs_ = obs;
@@ -296,18 +282,13 @@ class Span {
   ~Span() {
     if (obs_) obs_->observe_span(stage_, t0_, obs_->clock().now_ns());
   }
-#else
-  Span(PipelineObservability*, Stage) {}
-#endif
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-#if AF_OBS_SPANS_ENABLED
   PipelineObservability* obs_ = nullptr;
   std::uint64_t t0_ = 0;
   Stage stage_;
-#endif
 };
 
 }  // namespace airfinger::obs

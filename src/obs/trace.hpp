@@ -12,12 +12,9 @@
 // session; everything here is preallocated at construction, so recording
 // preserves the hot path's 0-allocs/frame invariant.
 //
-// Compile gate: -DAF_OBS_TRACE=OFF defines AF_OBS_TRACE_ENABLED 0 and the
-// recording hooks in obs/pipeline.hpp compile away entirely (same
-// discipline as AF_OBS_SPANS). When compiled in, a per-session runtime
-// switch (`PipelineObservability::set_trace_enabled`) can still silence
-// the recorder. Tracing is record-only: it never feeds back into any
-// decision, so emissions are byte-identical with tracing on or off —
+// A per-session runtime switch (`PipelineObservability::set_trace_enabled`)
+// silences the recorder. Tracing is record-only: it never feeds back into
+// any decision, so emissions are byte-identical with tracing on or off —
 // tests/trace_test.cpp pins that.
 //
 // Determinism contract: every timestamp in a trace comes from the owning
@@ -31,10 +28,6 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifndef AF_OBS_TRACE_ENABLED
-#define AF_OBS_TRACE_ENABLED 1
-#endif
 
 namespace airfinger::obs {
 

@@ -1,5 +1,3 @@
-#include <cstdio>
-#include <cstdlib>
 #include "synth/dataset.hpp"
 
 #include <algorithm>
@@ -97,9 +95,6 @@ GestureSample DatasetBuilder::record_one(MotionKind kind,
       const double target_v = 0.30 * proto_spec.adc.vref;
       proto_spec.adc.gain =
           std::clamp(target_v / peak, 4.0, 250.0);
-      if (getenv("AF_DEBUG_GAIN"))
-        fprintf(stderr, "autogain: peak=%g gain=%g\n", peak,
-                proto_spec.adc.gain);
     }
   }
   sensor::Prototype prototype(proto_spec);

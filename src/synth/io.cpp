@@ -40,8 +40,10 @@ void save_dataset_csv(const Dataset& dataset, const std::string& path) {
       "session",         "repetition",   "gesture_start_s",
       "gesture_end_s",   "standoff_m",   "scroll_dir",
       "scroll_vel_mps",  "scroll_disp_m", "frame"};
+  // Appended, not `"p" + std::to_string(...)`: that prepend trips a GCC 12
+  // -Wrestrict false positive inside std::string::insert.
   for (std::size_t c = 0; c < channels; ++c)
-    header.push_back("p" + std::to_string(c + 1));
+    header.push_back(std::string("p").append(std::to_string(c + 1)));
   common::CsvWriter csv(path, header);
 
   for (std::size_t idx = 0; idx < dataset.samples.size(); ++idx) {

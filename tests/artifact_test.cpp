@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "sensor/artifact.hpp"
 #include "sensor/fault_injector.hpp"

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/airfinger.hpp"
 #include "core/multi_session_host.hpp"
 #include "core/trainer.hpp"
 #include "synth/dataset.hpp"
@@ -101,6 +100,21 @@ TEST(Bundle, RoundTripIsBitIdentical) {
   EXPECT_EQ(first.str(), resaved.str());
 }
 
+// The serving path's timing analysis handles at most kMaxTimingChannels
+// channels, so a wider bundle must be refused when it is built (or
+// loaded), not by every Session once a segment reaches the probe.
+TEST(Bundle, RejectsMoreChannelsThanTheTimingAnalysisHandles) {
+  const auto& bundle = trained_bundle();
+  core::AirFingerConfig config = bundle->config();
+  config.channels = core::kMaxTimingChannels;
+  EXPECT_NO_THROW(
+      core::ModelBundle(config, bundle->recognizer(), bundle->filter()));
+  config.channels = core::kMaxTimingChannels + 1;
+  EXPECT_THROW(
+      core::ModelBundle(config, bundle->recognizer(), bundle->filter()),
+      PreconditionError);
+}
+
 TEST(Bundle, MalformedHeaderRejected) {
   std::stringstream wrong_tag("not_a_bundle 1\n");
   EXPECT_THROW(core::ModelBundle::load(wrong_tag), PreconditionError);
@@ -190,26 +204,21 @@ TEST(Session, ConstructionSharesModelsWithoutCopying) {
   EXPECT_EQ(&b.bundle().recognizer(), &a.bundle().recognizer());
   ASSERT_TRUE(a.bundle().filter().has_value());
   EXPECT_EQ(&*a.bundle().filter(), &*bundle->filter());
-
-  // The AirFinger façade shares the same way.
-  core::AirFinger engine(bundle);
-  EXPECT_EQ(engine.bundle().get(), bundle.get());
-  EXPECT_EQ(bundle.use_count(), count_before + 3);
 }
 
 TEST(Session, IndependentSessionsMatchSerialReplay) {
   const auto& bundle = trained_bundle();
   const auto& probes = probe_corpus();
 
-  // Replaying through one reused engine (reset between traces) and through
-  // fresh per-trace sessions must agree event for event.
-  core::AirFinger engine(bundle);
+  // Replaying through one reused session (reset between traces) and
+  // through fresh per-trace sessions must agree event for event.
+  core::Session reused(bundle);
   for (const auto& probe : probes.samples) {
-    engine.reset();
-    std::vector<core::GestureEvent> via_engine =
-        engine.process_trace(probe.trace);
+    reused.reset();
+    std::vector<core::GestureEvent> via_reused =
+        reused.process_trace(probe.trace);
     core::Session fresh(bundle);
-    expect_events_identical(via_engine, fresh.process_trace(probe.trace));
+    expect_events_identical(via_reused, fresh.process_trace(probe.trace));
   }
 }
 

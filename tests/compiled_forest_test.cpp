@@ -210,7 +210,6 @@ TEST(OpenSegmentTiming, IncrementalMatchesBatchAtEveryLength) {
     core::OpenSegmentTiming cache;
     cache.configure(kChannels, kRate, config);
     cache.begin_segment();
-    common::ScratchArena cache_arena;
     common::ScratchArena batch_arena;
     double frame[kChannels];
     std::vector<std::span<const double>> windows(kChannels);
@@ -223,7 +222,7 @@ TEST(OpenSegmentTiming, IncrementalMatchesBatchAtEveryLength) {
       for (std::size_t c = 0; c < kChannels; ++c)
         windows[c] = std::span<const double>(channels[c].data(), n);
       const std::span<const std::span<const double>> w(windows);
-      const auto incremental = cache.timing(w, cache_arena);
+      const auto incremental = cache.timing(w);
       const auto batch = core::segment_timing(w, kRate, config, batch_arena);
       expect_timing_equal(incremental, batch, n);
     }

@@ -192,10 +192,10 @@ TEST(Determinism, BuildEngineIsBitIdenticalAcrossThreadCounts) {
   const core::TrainerConfig config = small_trainer();
 
   core::TrainingReport serial_report;
-  std::optional<core::AirFinger> serial;
+  std::shared_ptr<const core::ModelBundle> serial;
   {
     common::ScopedThreads scoped(1);
-    serial.emplace(core::build_engine(config, &serial_report));
+    serial = core::build_bundle(config, &serial_report);
   }
 
   // Probe recordings the engines must agree on, byte for byte.
@@ -211,10 +211,10 @@ TEST(Determinism, BuildEngineIsBitIdenticalAcrossThreadCounts) {
 
   for (std::size_t threads : {2u, 4u}) {
     core::TrainingReport report;
-    std::optional<core::AirFinger> parallel;
+    std::shared_ptr<const core::ModelBundle> parallel;
     {
       common::ScopedThreads scoped(threads);
-      parallel.emplace(core::build_engine(config, &report));
+      parallel = core::build_bundle(config, &report);
     }
     EXPECT_EQ(serial_report.gesture_samples, report.gesture_samples);
     EXPECT_EQ(serial_report.non_gesture_samples,

@@ -15,7 +15,6 @@
 #include "dsp/dynamic_threshold.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/filters.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/sbc.hpp"
 #include "dsp/wavelet.hpp"
 #include "dsp/xcorr.hpp"
@@ -503,20 +502,6 @@ TEST(Autocorr, HoistedAcfMatchesPerLagReference) {
   acf_into(flat, arena, out);
   EXPECT_EQ(out[0], 1.0);
   for (std::size_t k = 1; k < out.size(); ++k) EXPECT_EQ(out[k], 0.0);
-}
-
-TEST(Goertzel, BatchMatchesSingleBitIdentically) {
-  const double rate = 1000.0;
-  std::vector<double> frequencies;
-  for (int f = 1; f <= 37; ++f) frequencies.push_back(12.5 * f);
-  for (const std::size_t n : {std::size_t{16}, std::size_t{301}}) {
-    const std::vector<double> x = random_signal(n, 101 + n);
-    std::vector<double> batched(frequencies.size());
-    goertzel_magnitudes(x, frequencies, rate, batched);
-    for (std::size_t f = 0; f < frequencies.size(); ++f)
-      expect_bits(goertzel_magnitude(x, frequencies[f], rate), batched[f],
-                  "goertzel f=" + std::to_string(f));
-  }
 }
 
 }  // namespace

@@ -208,9 +208,11 @@ TEST(Bank, CrossChannelZerosForSingleChannel) {
   for (std::size_t i = 0; i < x.size(); ++i) seg[i] = x[i] * x[i] + 1.0;
   const auto f = bank.extract(std::span<const double>(seg));
   const auto& names = bank.names();
-  for (std::size_t i = 0; i < names.size(); ++i)
-    if (names[i].rfind("xc_", 0) == 0)
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i].rfind("xc_", 0) == 0) {
       EXPECT_DOUBLE_EQ(f[i], 0.0) << names[i];
+    }
+  }
 }
 
 TEST(Bank, CrossChannelAsymmetryDetectsOrderedEnergy) {

@@ -12,6 +12,10 @@
 // Both file formats are line-oriented text with hex-float (`%a`) numbers,
 // so round-trips are bit-exact and diffs are reviewable.
 //
+// The same recordings also drive the probe-parity check: every open
+// segment the streaming front end finds in them is probed with both
+// ModelBundle::probe_direction overloads, which must agree bit for bit.
+//
 // To regenerate after an intentional behaviour change:
 //   AF_REGEN_GOLDEN=1 ./golden_replay_test
 // then commit the rewritten files under tests/golden/.
@@ -28,8 +32,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/data_processor.hpp"
 #include "core/session.hpp"
 #include "core/trainer.hpp"
+#include "dsp/dynamic_threshold.hpp"
+#include "dsp/sbc.hpp"
+#include "probe_parity.hpp"
 #include "sensor/artifact.hpp"
 #include "sensor/fault_injector.hpp"
 #include "sensor/trace_io.hpp"
@@ -72,14 +80,6 @@ std::string hex(double v) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%a", v);
   return buffer;
-}
-
-double parse_hex(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  AF_EXPECT(end != token.c_str() && *end == '\0',
-            "golden file: malformed number '" + token + "'");
-  return v;
 }
 
 // Trace (de)serialization lives in sensor/trace_io.hpp (shared with
@@ -397,6 +397,85 @@ TEST(GoldenReplay, CommittedStormTracesReplayToCommittedEventsExactly) {
     EXPECT_EQ(serialize_run(events, session.observability()),
               slurp(golden_path(storm.name, ".afevents")));
   }
+}
+
+// ------------------------------------------------------- probe parity
+//
+// Sessions probe every open segment with the cached probe_direction
+// overload; the cacheless overload is its batch reference. Each committed
+// recording runs through the session's front end (one SBC per channel,
+// then the streaming segmenter with the bundle's config), each open
+// segment's view grows one frame at a time, and at every frame past
+// 2·I_g + 2 both overloads must return bit-identical estimates. The
+// streaming path stops probing once it has a verdict; this check keeps
+// probing, so it covers every prefix the session could reach.
+
+TEST(GoldenReplay, CachedProbeMatchesCachelessOnCommittedTraces) {
+  const auto& bundle = golden_bundle();
+  const core::AirFingerConfig& config = bundle->config();
+  const std::size_t channels = config.channels;
+  const double rate = config.sample_rate_hz;
+  const std::size_t window =
+      core::DataProcessor(config.processing).window_samples(rate);
+  dsp::SegmenterConfig segmenter_config = config.processing.segmenter;
+  segmenter_config.sample_rate_hz = rate;
+  const auto ig_samples =
+      static_cast<std::size_t>(config.router.ig_threshold_s * rate);
+
+  std::vector<std::string> names;
+  for (const auto& golden : kCases) names.emplace_back(golden.name);
+  for (const auto& storm : kStormCases) names.emplace_back(storm.name);
+
+  std::size_t probes = 0, estimates = 0;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    std::istringstream trace_stream(slurp(golden_path(name, ".aftrace")));
+    const sensor::MultiChannelTrace trace = sensor::parse_trace(trace_stream);
+    ASSERT_EQ(trace.channel_count(), channels);
+
+    std::vector<dsp::SquareBasedCalculator> sbc(
+        channels, dsp::SquareBasedCalculator(window));
+    dsp::DynamicThresholdSegmenter segmenter(segmenter_config);
+    core::OpenSegmentTiming cache;
+    cache.configure(channels, rate, bundle->probe_timing_config());
+    features::Workspace cached_ws;
+    features::Workspace batch_ws;
+    core::ProcessedTrace view;
+    view.sample_rate_hz = rate;
+    std::vector<double> deltas(channels);
+    for (std::size_t i = 0; i < trace.sample_count(); ++i) {
+      double energy = 0.0;
+      for (std::size_t c = 0; c < channels; ++c) {
+        deltas[c] = sbc[c].push(trace.channel(c)[i]);
+        energy += deltas[c];
+      }
+      const bool was_open = segmenter.in_gesture();
+      segmenter.push(energy);
+      if (!segmenter.in_gesture()) continue;
+      if (!was_open) {
+        view.delta_rss2.assign(channels, {});
+        view.energy.clear();
+        cache.begin_segment();
+      }
+      for (std::size_t c = 0; c < channels; ++c)
+        view.delta_rss2[c].push_back(deltas[c]);
+      view.energy.push_back(energy);
+      cache.append(deltas);
+
+      const std::size_t open_len = view.energy.size();
+      if (open_len <= 2 * ig_samples + 2) continue;
+      const dsp::Segment local{0, open_len};
+      const auto cached =
+          bundle->probe_direction(view, local, cached_ws, cache);
+      test::expect_estimates_equal(
+          cached, bundle->probe_direction(view, local, batch_ws), open_len);
+      ++probes;
+      if (cached) ++estimates;
+    }
+  }
+  // Both verdicts must actually occur, or the parity would be vacuous.
+  EXPECT_GT(probes, estimates);
+  EXPECT_GT(estimates, 0u);
 }
 
 TEST(GoldenReplay, TraceSerializationRoundTripsBitExactly) {

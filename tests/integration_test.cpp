@@ -1,10 +1,11 @@
 // Integration tests: the full airFinger pipeline end-to-end — training on
-// synthesized data, offline classification, and the streaming engine.
+// synthesized data, offline classification, and the streaming Session.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/stats.hpp"
+#include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "core/training.hpp"
 #include "synth/dataset.hpp"
@@ -14,15 +15,15 @@ namespace {
 
 /// Shared, lazily trained engine: training is the expensive part, so the
 /// suite trains once and every test runs against the same models.
-AirFinger& shared_engine() {
-  static AirFinger engine = [] {
+Session& shared_engine() {
+  static Session engine = [] {
     TrainerConfig config;
     config.users = 4;
     config.sessions = 2;
     config.repetitions = 8;
     config.non_gesture_repetitions = 10;
     config.seed = 1001;
-    return build_engine(config);
+    return Session(build_bundle(config));
   }();
   return engine;
 }
@@ -45,7 +46,7 @@ TEST(Integration, TrainingReportsSelectedFeatures) {
   config.repetitions = 4;
   config.seed = 77;
   TrainingReport report;
-  AirFinger engine = build_engine(config, &report);
+  build_bundle(config, &report);
   EXPECT_GT(report.gesture_samples, 0u);
   EXPECT_GT(report.non_gesture_samples, 0u);
   EXPECT_EQ(report.selected_feature_names.size(), 25u);
@@ -58,7 +59,7 @@ TEST(Integration, ScrollDirectionIsReliable) {
       2002);
   int correct = 0, total = 0;
   for (const auto& s : data.samples) {
-    const auto v = run_sample(engine, s);
+    const auto v = run_sample(engine.bundle(), s);
     if (!v.scroll) continue;
     ++total;
     if (v.scroll->direction == s.scroll->direction) ++correct;
@@ -73,7 +74,7 @@ TEST(Integration, DetectGesturesAreMostlyRecognized) {
                                   synth::MotionKind::kDoubleRub}, 10, 2003);
   int correct = 0;
   for (const auto& s : data.samples) {
-    const auto v = run_sample(engine, s);
+    const auto v = run_sample(engine.bundle(), s);
     if (v.predicted == s.kind) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) /
@@ -86,7 +87,7 @@ TEST(Integration, NonGesturesAreMostlyRejected) {
   const auto data = test_samples({synth::MotionKind::kScratch}, 10, 2004);
   int rejected_or_missed = 0;
   for (const auto& s : data.samples) {
-    const auto v = run_sample(engine, s);
+    const auto v = run_sample(engine.bundle(), s);
     if (!v.detected || v.rejected) ++rejected_or_missed;
   }
   // The engine biases towards keeping real gestures (rejection_threshold),
@@ -128,7 +129,7 @@ TEST(Integration, OfflineClassificationMatchesTrainingWindows) {
   auto& engine = shared_engine();
   const auto data = test_samples({synth::MotionKind::kClick}, 4, 2008);
   for (const auto& s : data.samples) {
-    const auto events = engine.classify_recording(s.trace);
+    const auto events = engine.bundle().classify_recording(s.trace);
     for (const auto& e : events) {
       EXPECT_LE(e.segment_begin, e.segment_end);
       EXPECT_LE(e.segment_end, s.trace.sample_count());
@@ -141,7 +142,7 @@ TEST(Integration, EventDescriptionsAreHumanReadable) {
   const auto data = test_samples({synth::MotionKind::kScrollUp}, 8, 2009);
   bool saw_scroll = false;
   for (const auto& s : data.samples) {
-    for (const auto& e : engine.classify_recording(s.trace)) {
+    for (const auto& e : engine.bundle().classify_recording(s.trace)) {
       const auto text = e.describe();
       EXPECT_FALSE(text.empty());
       if (e.type == GestureEvent::Type::kScrollDetected) {
@@ -161,10 +162,10 @@ TEST(Integration, HybridRoutingCanBeDisabled) {
   config.repetitions = 4;
   config.seed = 2010;
   config.engine.hybrid_routing = false;
-  AirFinger engine = build_engine(config);
+  const auto bundle = build_bundle(config);
   const auto data = test_samples({synth::MotionKind::kScrollUp}, 2, 2011);
   for (const auto& s : data.samples)
-    EXPECT_NO_THROW(run_sample(engine, s));
+    EXPECT_NO_THROW(run_sample(*bundle, s));
 }
 
 TEST(Integration, VelocityCorrelatesWithTruth) {
@@ -174,7 +175,7 @@ TEST(Integration, VelocityCorrelatesWithTruth) {
       2013);
   std::vector<double> truth, measured;
   for (const auto& s : data.samples) {
-    const auto v = run_sample(engine, s);
+    const auto v = run_sample(engine.bundle(), s);
     if (!v.scroll || v.scroll->used_experience_velocity) continue;
     truth.push_back(s.scroll->mean_velocity_mps);
     measured.push_back(v.scroll->velocity_mps);
@@ -193,7 +194,7 @@ TEST(Integration, LongStreamRunsInBoundedMemory) {
   config.repetitions = 4;
   config.seed = 3001;
   config.engine.history_limit = 1024;
-  AirFinger engine = build_engine(config);
+  Session engine(build_bundle(config));
 
   synth::CollectionConfig stream_config;
   stream_config.seed = 3002;

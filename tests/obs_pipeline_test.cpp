@@ -136,15 +136,10 @@ TEST(ObsPipeline, CountersReconcileWithEmittedEvents) {
   // Health view and registry view are the same numbers.
   EXPECT_EQ(session.health().frames, trace.sample_count());
 
-  // With spans compiled in, enabled, and sampling at full fidelity, the
-  // per-frame stage was timed on every frame; stage histograms are empty
-  // when compiled out.
+  // With spans enabled and sampling at full fidelity, the per-frame stage
+  // was timed on every frame.
   const auto* ingest = snap.find("af_stage_ingest_ns");
-#if AF_OBS_SPANS_ENABLED
   EXPECT_EQ(ingest->count, trace.sample_count());
-#else
-  EXPECT_EQ(ingest->count, 0u);
-#endif
 }
 
 TEST(ObsPipeline, PerFrameSpanSamplingIsDeterministic) {
@@ -164,14 +159,12 @@ TEST(ObsPipeline, PerFrameSpanSamplingIsDeterministic) {
   EXPECT_EQ(serialize_emissions(events_sampled),
             serialize_emissions(events_full));
 
-#if AF_OBS_SPANS_ENABLED
   // 1-in-N on the frame counter, first frame sampled: exactly ceil(n / N)
   // ingest observations, bit-stable across runs.
   const std::uint64_t n = trace.sample_count();
   const std::uint64_t every = obs::PipelineObservability::kDefaultSampleEvery;
   const auto snap = sampled.observability().registry().snapshot();
   EXPECT_EQ(snap.find("af_stage_ingest_ns")->count, (n + every - 1) / every);
-#endif
 }
 
 TEST(ObsPipeline, SessionResetClearsObservability) {

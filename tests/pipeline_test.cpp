@@ -163,11 +163,11 @@ TEST(Trainer, FilterCanBeDisabled) {
   config.repetitions = 3;
   config.seed = 51;
   config.engine.interference_filtering = false;
-  AirFinger engine = build_engine(config);
+  const auto bundle = build_bundle(config);
   // Scratch samples are not rejected when filtering is off.
   const auto data = small_dataset({synth::MotionKind::kScratch}, 3, 52);
   for (const auto& s : data.samples) {
-    const auto v = run_sample(engine, s);
+    const auto v = run_sample(*bundle, s);
     EXPECT_FALSE(v.rejected);
   }
 }
@@ -177,10 +177,10 @@ TEST(Trainer, MissingNonGestureDataThrowsWhenFilterEnabled) {
                                            synth::MotionKind::kRub}, 4, 53);
   synth::Dataset empty;
   AirFingerConfig config;
-  EXPECT_THROW(build_engine_from(config, gestures, empty),
+  EXPECT_THROW(build_bundle_from(config, gestures, empty),
                PreconditionError);
   config.interference_filtering = false;
-  EXPECT_NO_THROW(build_engine_from(config, gestures, empty));
+  EXPECT_NO_THROW(build_bundle_from(config, gestures, empty));
 }
 
 // ------------------------------------------ streaming/batch consistency

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <random>
 
 #include "core/ascending.hpp"
@@ -16,17 +15,14 @@
 #include "core/multi_session_host.hpp"
 #include "core/timing_cache.hpp"
 #include "core/trainer.hpp"
+#include "probe_parity.hpp"
 #include "synth/dataset.hpp"
 
 namespace airfinger {
 namespace {
 
-void expect_bits(double a, double b, const char* what) {
-  std::uint64_t ba = 0, bb = 0;
-  std::memcpy(&ba, &a, sizeof(a));
-  std::memcpy(&bb, &b, sizeof(b));
-  EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
-}
+using test::expect_bits;
+using test::expect_estimates_equal;
 
 void expect_timing_equal(const core::SegmentTiming& a,
                          const core::SegmentTiming& b, std::size_t n) {
@@ -89,7 +85,6 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
     core::OpenSegmentTiming cache;
     cache.configure(kChannels, kRate, config);
     cache.begin_segment();
-    common::ScratchArena cache_arena;
     common::ScratchArena batch_arena;
     double frame[kChannels];
     std::vector<std::span<const double>> windows(kChannels);
@@ -100,7 +95,7 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
       for (std::size_t c = 0; c < kChannels; ++c)
         windows[c] = std::span<const double>(channels[c].data(), n);
       const std::span<const std::span<const double>> w(windows);
-      const auto incremental = cache.timing(w, cache_arena);
+      const auto incremental = cache.timing(w);
       const auto batch = core::segment_timing(w, kRate, config, batch_arena);
       expect_timing_equal(incremental, batch, n);
     }
@@ -122,7 +117,6 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
   core::OpenSegmentTiming cache;
   cache.configure(kChannels, kRate, config);
   cache.begin_segment();
-  common::ScratchArena arena;
   double frame[kChannels];
   std::vector<std::span<const double>> windows(kChannels);
   core::SegmentTiming prev;
@@ -138,7 +132,7 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
     // Idempotent re-entry: a second refresh over the same window reports
     // the same verdict (the probe may be re-run without a new append).
     EXPECT_EQ(cache.refresh(w), changed);
-    const auto timing = cache.timing(w, arena);
+    const auto timing = cache.timing(w);
     if (!changed) {
       ASSERT_TRUE(have_prev);
       ++unchanged_frames;
@@ -172,20 +166,6 @@ const std::shared_ptr<const core::ModelBundle>& trained_bundle() {
     return core::build_bundle(config);
   }();
   return bundle;
-}
-
-void expect_estimates_equal(const std::optional<core::ScrollEstimate>& a,
-                            const std::optional<core::ScrollEstimate>& b,
-                            std::size_t n) {
-  SCOPED_TRACE("window length " + std::to_string(n));
-  ASSERT_EQ(a.has_value(), b.has_value());
-  if (!a) return;
-  expect_bits(a->direction, b->direction, "direction");
-  expect_bits(a->velocity_mps, b->velocity_mps, "velocity_mps");
-  expect_bits(a->duration_s, b->duration_s, "duration_s");
-  EXPECT_EQ(a->used_experience_velocity, b->used_experience_velocity);
-  ASSERT_EQ(a->delta_t_s.has_value(), b->delta_t_s.has_value());
-  if (a->delta_t_s) expect_bits(*a->delta_t_s, *b->delta_t_s, "delta_t_s");
 }
 
 // probe_direction over the incremental cache — change-detection

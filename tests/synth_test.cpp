@@ -347,7 +347,9 @@ TEST(Dataset, SamplesCarryValidGroundTruth) {
     EXPECT_LE(s.gesture_end_s, s.trace.duration_s() + 1e-9);
     EXPECT_GT(s.standoff_m, 0.0);
     EXPECT_EQ(s.trace.channel_count(), 3u);
-    if (is_track_aimed(s.kind)) EXPECT_TRUE(s.scroll.has_value());
+    if (is_track_aimed(s.kind)) {
+      EXPECT_TRUE(s.scroll.has_value());
+    }
   }
 }
 

@@ -4,10 +4,8 @@
 // The tracing layer's contract mirrors the rest of the observability
 // stack:
 //
-//   * record-only — emissions are byte-identical with tracing runtime-on
-//     and runtime-off (the compile-gate half is pinned by the golden-trace
-//     guard in tools/run_checks.sh --trace-smoke, which diffs emissions
-//     across -DAF_OBS_TRACE trees);
+//   * record-only — emissions are byte-identical with tracing on and
+//     off;
 //   * deterministic under TickClock — the exported Chrome trace-event
 //     JSON is byte-identical across runs and across host shard counts,
 //     because the trace layer adds no clock reads of its own;
@@ -127,7 +125,6 @@ TEST(TraceRecorder, MidSegmentEmitIsAMarkerNotAFinalization) {
 
 // --------------------------------------------------- event-driven routing
 
-#if AF_OBS_TRACE_ENABLED
 TEST(TraceRouting, RecordedLifecycleDrivesTheActiveTrace) {
   obs::PipelineObservability obs;
   obs.set_clock(std::make_unique<obs::TickClock>(1000));
@@ -271,7 +268,6 @@ TEST(ShardTelemetry, DrainedFramesReconcileWithProcessed) {
     EXPECT_GT(drained_series->count, 0u);
   }
 }
-#endif  // AF_OBS_TRACE_ENABLED
 
 // ------------------------------------------------------------ emissions
 
@@ -306,14 +302,10 @@ TEST(TraceExport, ChromeJsonIsByteIdenticalAcrossRunsAndShardCounts) {
   const std::string inline_run = hosted_chrome_trace(4, 1);
   EXPECT_EQ(inline_run, hosted_chrome_trace(4, 1));  // across runs
   EXPECT_EQ(inline_run, hosted_chrome_trace(4, 2));  // across shard counts
-  // Loadable shape, not just stable bytes. The slices themselves only
-  // exist when the trace gate is compiled in; with it off the export is
-  // a valid-but-empty envelope.
+  // Loadable shape, not just stable bytes.
   EXPECT_NE(inline_run.find("\"traceEvents\""), std::string::npos);
-#if AF_OBS_TRACE_ENABLED
   EXPECT_NE(inline_run.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(inline_run.find("\"name\":\"gesture\""), std::string::npos);
-#endif
 }
 
 TEST(TraceExport, EmptySessionsStillRenderValidJson) {

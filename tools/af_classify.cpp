@@ -9,7 +9,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "core/airfinger.hpp"
+#include "core/model_bundle.hpp"
 #include "core/training.hpp"
 #include "synth/io.hpp"
 
@@ -25,7 +25,7 @@ int run(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto dataset = synth::load_dataset_csv(cli.get("corpus"));
-  core::AirFinger engine(core::ModelBundle::load_file(cli.get("bundle")));
+  const auto bundle = core::ModelBundle::load_file(cli.get("bundle"));
 
   ml::ConfusionMatrix cm(synth::kGestureCount + 1, [] {
     std::vector<std::string> names =
@@ -36,7 +36,7 @@ int run(int argc, char** argv) {
   const int rejected_class = synth::kGestureCount;
   for (const auto& s : dataset.samples) {
     if (!synth::is_gesture(s.kind)) continue;
-    const auto v = core::run_sample(engine, s);
+    const auto v = core::run_sample(*bundle, s);
     const int predicted = (v.predicted && !v.rejected)
                               ? static_cast<int>(*v.predicted)
                               : rejected_class;

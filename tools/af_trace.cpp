@@ -13,7 +13,7 @@
 //
 // The session runs under a deterministic TickClock by default, so both the
 // text report and the exported JSON are byte-identical across runs and
-// machines — tools/run_checks.sh --trace-smoke relies on that. Pass
+// machines — tools/run_checks.sh relies on that. Pass
 // --tick-ns 0 for real wall-clock spans instead.
 #include <fstream>
 #include <iostream>

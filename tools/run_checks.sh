@@ -1,24 +1,22 @@
 #!/usr/bin/env bash
 # Full verification gauntlet, CI-runnable: exits non-zero on any failure.
 #
-#   1. tier-1: standard build + full ctest suite, then the host, ring and
-#      dataset-IO tests repeated under ctest -j to catch flakes
-#   2. observability: the instrumentation determinism/aggregation suites
-#   3. asan:   ASan/UBSan build of the model/session/concurrency suites
-#   4. bench:  hot-path microbenchmark smoke (incl. 0-allocs/frame check)
-#   5. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
+#   1. tier-1: warning-free (-DAIRFINGER_WERROR=ON) build + full ctest
+#      suite, then the host, ring and dataset-IO tests repeated under
+#      ctest -j to catch flakes
+#   2. robustness: fault-injection, fuzz, golden-replay and golden
+#      probe-parity suites
+#   3. observability: the instrumentation determinism/aggregation suites,
+#      and the af_trace export replayed twice (byte-identical, valid JSON)
+#   4. asan:   ASan/UBSan build of the model/session/concurrency suites
+#   5. native: -DAF_NATIVE=ON tree replays the goldens
+#   6. bench:  hot-path microbenchmark smoke (0 allocs/frame, robustness
+#      and contention gates)
+#   7. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
 #
-# Usage: tools/run_checks.sh [--soak] [--robustness-smoke] [--trace-smoke]
-# [build-dir]   (default build-dir: build)
+# Usage: tools/run_checks.sh [--soak] [build-dir]   (default build-dir: build)
 # --soak additionally runs the 10k-session host soak (ctest label `soak`,
 # AF_SOAK=1) under the TSan tree — minutes of wall-clock, off by default.
-# --robustness-smoke additionally runs the bench_robustness quality gates
-# (per-class artifact detection rate, clean-trace false positives,
-# 0 allocs/frame under storms) on a small substrate.
-# --trace-smoke additionally builds an -DAF_OBS_TRACE=ON aux tree, replays
-# a golden gesture through af_trace twice, and checks that the exported
-# Chrome trace JSON parses and is byte-identical across the two runs
-# (the TickClock determinism contract for the trace exporter).
 # Canonical build-dir layout (README.md): the tier-1 tree lives at
 # <build-dir> and every auxiliary tree nests under <build-dir>/aux
 # (<build-dir>/aux/asan, /aux/tsan, /aux/native, /aux/bench), so one
@@ -31,21 +29,17 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SOAK=0
-ROBUSTNESS_SMOKE=0
-TRACE_SMOKE=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
     --soak) SOAK=1 ;;
-    --robustness-smoke) ROBUSTNESS_SMOKE=1 ;;
-    --trace-smoke) TRACE_SMOKE=1 ;;
     *) echo "run_checks: unknown flag $1" >&2; exit 2 ;;
   esac
   shift
 done
 BUILD="${1:-${ROOT}/build}"
 
-echo "== tier-1: build + ctest =="
-cmake -B "${BUILD}" -S "${ROOT}"
+echo "== tier-1: warning-free build + ctest =="
+cmake -B "${BUILD}" -S "${ROOT}" -DAIRFINGER_WERROR=ON
 cmake --build "${BUILD}" -j
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
@@ -57,20 +51,31 @@ ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)" \
   --repeat until-fail:5 -R 'HostSharding|SpscRing|ShardTelemetry|DatasetIo'
 
 echo "== robustness: fault-injection + fuzz + golden-replay suites =="
+# golden_replay_test also carries the golden probe-parity check: every open
+# segment of the committed traces is probed with the session's cached
+# probe and with the cacheless batch probe, which must agree bit for bit.
 ctest --test-dir "${BUILD}" --output-on-failure -L robustness -j "$(nproc)"
-
-echo "== probe parity: goldens must replay byte-identical with the =="
-echo "== incremental probe disabled (AF_PROBE_INCREMENTAL=0)        =="
-# The default suite above replayed the goldens over the incremental
-# probe; replaying them again over the batch probe proves the two probe
-# implementations emit byte-identical streams both ways, not just on the
-# synthetic corpora the unit tests cover.
-AF_PROBE_INCREMENTAL=0 "${BUILD}/tests/golden_replay_test"
-AF_PROBE_INCREMENTAL=0 "${BUILD}/tests/probe_test" \
-  --gtest_filter='IncrementalProbe.ParallelFeedersAreBitIdenticalToInlineHost'
 
 echo "== observability: metrics/tracing determinism suites =="
 ctest --test-dir "${BUILD}" --output-on-failure -L observability -j "$(nproc)"
+
+echo "== trace export: af_trace replay is byte-identical and valid JSON =="
+# Replay one golden gesture through af_trace twice: the exported Chrome
+# trace JSON must parse and be byte-identical across runs (TickClock pins
+# every span timestamp).
+TRACE_A="$(mktemp /tmp/af_trace.a.XXXXXX.json)"
+TRACE_B="$(mktemp /tmp/af_trace.b.XXXXXX.json)"
+"${BUILD}/tools/af_trace" \
+  --input "${ROOT}/tests/golden/circle.aftrace" --out "${TRACE_A}"
+"${BUILD}/tools/af_trace" \
+  --input "${ROOT}/tests/golden/circle.aftrace" --out "${TRACE_B}"
+cmp "${TRACE_A}" "${TRACE_B}"
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "${TRACE_A}"
+else
+  grep -q '"traceEvents"' "${TRACE_A}"
+fi
+rm -f "${TRACE_A}" "${TRACE_B}"
 
 echo "== asan/ubsan: model + session + concurrency + robustness suites =="
 ASAN_BUILD="${BUILD}/aux/asan"
@@ -108,50 +113,10 @@ cmake --build "${NATIVE_BUILD}" -j \
 "${NATIVE_BUILD}/tests/features_test"
 "${NATIVE_BUILD}/tests/compiled_forest_test"
 
-if [[ "${TRACE_SMOKE}" == "1" ]]; then
-  echo "== trace smoke: exporter determinism + cross-gate golden guard =="
-  # Replay one golden gesture through af_trace twice from an explicit
-  # -DAF_OBS_TRACE=ON tree: the exported Chrome trace JSON must parse and
-  # be byte-identical across runs (TickClock pins every span timestamp).
-  TRACE_BUILD="${BUILD}/aux/trace"
-  cmake -B "${TRACE_BUILD}" -S "${ROOT}" -DAF_OBS_TRACE=ON
-  cmake --build "${TRACE_BUILD}" -j --target af_trace
-  TRACE_A="$(mktemp /tmp/af_trace.a.XXXXXX.json)"
-  TRACE_B="$(mktemp /tmp/af_trace.b.XXXXXX.json)"
-  "${TRACE_BUILD}/tools/af_trace" \
-    --input "${ROOT}/tests/golden/circle.aftrace" --out "${TRACE_A}"
-  "${TRACE_BUILD}/tools/af_trace" \
-    --input "${ROOT}/tests/golden/circle.aftrace" --out "${TRACE_B}"
-  cmp "${TRACE_A}" "${TRACE_B}"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "${TRACE_A}"
-  else
-    grep -q '"traceEvents"' "${TRACE_A}"
-  fi
-  # Cross-gate golden guard: an -DAF_OBS_TRACE=OFF tree must replay the
-  # goldens byte-identically (tracing adds zero clock reads, so compiling
-  # it out cannot move an emission), and the unconditional trace_test
-  # cases must still pass with the gate closed.
-  TRACE_OFF_BUILD="${BUILD}/aux/trace-off"
-  cmake -B "${TRACE_OFF_BUILD}" -S "${ROOT}" -DAF_OBS_TRACE=OFF
-  cmake --build "${TRACE_OFF_BUILD}" -j --target golden_replay_test trace_test
-  "${TRACE_OFF_BUILD}/tests/golden_replay_test"
-  "${TRACE_OFF_BUILD}/tests/trace_test"
-  echo "run_checks: trace smoke clean (deterministic export at ${TRACE_A})"
-fi
-
 echo "== bench smoke: hot-path microbenchmark builds and runs =="
+# Includes the bench_robustness quality gates (per-class artifact detection
+# rate, clean-trace false positives, 0 allocs/frame under storms).
 "${ROOT}/tools/run_bench.sh" --smoke "${BUILD}/aux/bench"
-
-if [[ "${ROBUSTNESS_SMOKE}" == "1" ]]; then
-  echo "== robustness smoke: artifact detection-quality gates =="
-  ROBUST_BUILD="${BUILD}/aux/bench"
-  cmake --build "${ROBUST_BUILD}" -j --target bench_robustness
-  ROBUST_OUT="$(mktemp /tmp/BENCH_robustness.smoke.XXXXXX.json)"
-  "${ROBUST_BUILD}/bench/bench_robustness" --smoke 1 --users 2 \
-    --sessions 1 --reps 3 --out "${ROBUST_OUT}"
-  echo "run_checks: robustness smoke gates pass (report at ${ROBUST_OUT})"
-fi
 
 echo "== tsan: race-check the concurrency contract =="
 "${ROOT}/tools/run_tsan.sh" "${BUILD}/aux/tsan"
