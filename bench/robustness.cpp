@@ -4,9 +4,10 @@
 // path uses it: a FaultPolicy whose thresholds are derived from the clean
 // corpus (the deployment recipe from core/health.hpp), storm traffic from
 // the seeded FaultInjector at bench-default rates, and the per-class
-// detection counters from obs::Registry. The JSON report
-// (BENCH_robustness.json via tools/run_bench.sh) records, and the exit
-// status gates:
+// detection counters from obs::Registry. The JSON report (the tracked
+// BENCH_robustness.json, refreshed with
+// `build/bench/bench_robustness --out BENCH_robustness.json`) records, and
+// the exit status gates:
 //
 //   * per-class detection rate: classified episodes / injected episodes,
 //     for impulse, crackle, step, drift, and flicker storms;
@@ -19,8 +20,8 @@
 //     binary's own counting operator-new hook — the artifact path rides
 //     the 0-alloc hot path, held frames and all.
 //
-// --smoke shrinks the substrate for CI gating (tools/run_bench.sh --smoke,
-// which tools/run_checks.sh runs); gates are identical, only the sample is
+// --smoke shrinks the substrate for CI gating (tools/run_checks.sh runs
+// it from the tier-1 tree); gates are identical, only the sample is
 // smaller.
 #include <algorithm>
 #include <atomic>

@@ -9,7 +9,6 @@
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/multi_session_host.hpp"
 #include "core/trainer.hpp"
 #include "core/training.hpp"
 #include "ml/metrics.hpp"
@@ -65,20 +64,5 @@ void print_summary(const std::string& experiment,
 /// Prints a one-line paper-vs-measured comparison.
 void print_comparison(const std::string& metric, double paper,
                       double measured);
-
-/// Feeds `sessions` host lanes from a shared trace pool (lane % pool
-/// size), up to `frames_per_stream` frames each in `burst`-frame
-/// interleaved chunks — the big-workload producer shape shared by the
-/// serving benches. In threaded mode one feeder thread per shard streams
-/// exactly that shard's lanes (lane % shard_count(), mirroring the host's
-/// own hashing), so wide hosts are measured instead of a single-threaded
-/// producer; inline mode keeps the one-feeder loop the host's concurrency
-/// contract requires. Per-lane feed order is identical either way, so the
-/// drained events stay bit-identical across shard counts. Does not call
-/// finish()/drain(): timing stays the caller's business.
-void feed_pooled(core::MultiSessionHost& host,
-                 const std::vector<sensor::MultiChannelTrace>& traces,
-                 std::size_t sessions, std::size_t frames_per_stream,
-                 std::size_t burst);
 
 }  // namespace airfinger::bench

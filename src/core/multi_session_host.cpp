@@ -719,58 +719,4 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin(
   return drain();
 }
 
-std::vector<SessionEvent> MultiSessionHost::run_round_robin_parallel(
-    const std::vector<sensor::MultiChannelTrace>& traces,
-    std::size_t frames_per_turn) {
-  // Inline mode drains on the feeding thread, so it admits only one feeder.
-  if (workers_.empty()) return run_round_robin(traces, frames_per_turn);
-
-  AF_EXPECT(traces.size() == lanes_.size(),
-            "round-robin needs exactly one trace per session");
-  AF_EXPECT(frames_per_turn >= 1, "frames_per_turn must be >= 1");
-  const std::size_t channels = channels_;
-  for (const auto& trace : traces)
-    AF_EXPECT(trace.channel_count() == channels,
-              "trace carries " + std::to_string(trace.channel_count()) +
-                  " channels but the host expects " +
-                  std::to_string(channels));
-
-  // One producer thread per shard; feeder s owns exactly the lanes of
-  // shard s (index % shard_count_), so every shard queue keeps a single
-  // producer and the one-feeder-per-shard contract holds. Per-lane order
-  // matches run_round_robin() exactly: the same frames_per_turn bursts in
-  // ascending lane order within the feeder's subset.
-  std::vector<std::thread> feeders;
-  feeders.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    feeders.emplace_back([this, s, &traces, frames_per_turn, channels] {
-      std::vector<std::size_t> mine;
-      for (std::size_t i = s; i < traces.size(); i += shard_count_)
-        mine.push_back(i);
-      std::vector<std::size_t> cursor(mine.size(), 0);
-      std::vector<double> frame(channels);
-      bool pending_input = !mine.empty();
-      while (pending_input) {
-        pending_input = false;
-        for (std::size_t k = 0; k < mine.size(); ++k) {
-          const std::size_t lane = mine[k];
-          const std::size_t total = traces[lane].sample_count();
-          const std::size_t take =
-              std::min(frames_per_turn, total - cursor[k]);
-          for (std::size_t f = 0; f < take; ++f) {
-            for (std::size_t c = 0; c < channels; ++c)
-              frame[c] = traces[lane].channel(c)[cursor[k] + f];
-            feed(lane, frame);
-          }
-          cursor[k] += take;
-          if (cursor[k] < total) pending_input = true;
-        }
-      }
-    });
-  }
-  for (auto& t : feeders) t.join();  // happens-before the owner resuming
-  finish();
-  return drain();
-}
-
 }  // namespace airfinger::core

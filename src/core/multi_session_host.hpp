@@ -49,8 +49,9 @@
 // otherwise touches only the lane's feed slot plus its shard's park
 // flag. (Inline mode drains on the feeding thread: single feeder only.)
 // The owner-thread calls may resume only after the extra feeders are
-// joined (an external happens-before edge). run_round_robin_parallel()
-// packages this pattern.
+// joined (an external happens-before edge).
+// HostSharding.ParallelFeedersAreBitIdenticalToInlineHost
+// (tests/host_shard_test.cpp) drives this pattern under TSan.
 #pragma once
 
 #include <cstdint>
@@ -271,18 +272,6 @@ class MultiSessionHost {
   /// wearables; shard workers classify concurrently under queue
   /// backpressure. Finishes all streams and returns the drained events.
   std::vector<SessionEvent> run_round_robin(
-      const std::vector<sensor::MultiChannelTrace>& traces,
-      std::size_t frames_per_turn = 64);
-
-  /// run_round_robin() with one producer thread per shard: feeder s
-  /// streams exactly the lanes hashed to shard s (index % shard_count()),
-  /// round-robin within them — the one feeder per shard that the queue
-  /// admits — so the sweep measures the host instead of a single-threaded
-  /// producer. Per-lane feed order is identical to
-  /// run_round_robin() — the drained events are bit-identical; only the
-  /// cross-lane interleaving (which determinism never observes) differs.
-  /// Inline mode (no workers) falls back to the single-feeder loop.
-  std::vector<SessionEvent> run_round_robin_parallel(
       const std::vector<sensor::MultiChannelTrace>& traces,
       std::size_t frames_per_turn = 64);
 

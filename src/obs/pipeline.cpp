@@ -273,26 +273,6 @@ void PipelineObservability::route_trace(const PipelineEvent& e) {
     registry_.inc(traces_evicted_, d);
 }
 
-void PipelineObservability::capture_postmortem(FlightReason reason,
-                                               std::uint64_t frame) {
-  if (!flight_.begin_capture(reason, frame)) return;
-  std::array<PipelineEvent, FlightRecorder::kDefaultEventCapacity> tail;
-  const std::size_t n = ring_.copy_recent(tail.data(), tail.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    FlightEvent fe;
-    fe.t_ns = tail[i].t_ns;
-    fe.frame = tail[i].frame;
-    fe.begin = tail[i].begin;
-    fe.end = tail[i].end;
-    fe.kind = static_cast<std::uint8_t>(tail[i].kind);
-    fe.detail = tail[i].detail;
-    flight_.capture_event(fe);
-  }
-  if (const GestureTrace* last = recorder_.latest())
-    flight_.capture_trace(*last);
-  if (recorder_.active()) flight_.capture_trace(recorder_.active_trace());
-}
-
 void PipelineObservability::reset_values() {
   registry_.reset_values();
   ring_.clear();

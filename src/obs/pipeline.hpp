@@ -13,8 +13,9 @@
 // Stage timing is captured by RAII Span objects. A per-object runtime
 // switch (`set_spans_enabled`) silences them, and the per-frame stages are
 // deterministically sampled 1-in-N (`set_sample_every`, default 16) so
-// steady-state clock reads stay within the tracing overhead budget that
-// tools/run_bench.sh enforces (observability on vs off in one process).
+// steady-state clock reads stay cheap: perfbench's headline run serves
+// with observability on, and its traced run reports what the spans cost
+// (`layer.share.obs`).
 // Observability is record-only either way: it never feeds back into any
 // decision, so emissions are bit-identical with tracing on or off.
 #pragma once
@@ -118,6 +119,56 @@ class EventRing {
   std::uint64_t dropped_ = 0;
 };
 
+/// Why a post-mortem capture was triggered.
+enum class FlightReason : std::uint8_t {
+  kQuarantine = 0,  ///< The session entered degraded mode.
+  kLaneFault = 1,   ///< The host isolated the lane after an exception.
+};
+const char* flight_reason_name(FlightReason reason);
+
+/// Per-session post-mortem buffer: the first trigger (quarantine entry or
+/// lane fault) latches a copy of the newest pipeline events and the most
+/// recent gesture traces; later triggers only count. Capture is pure
+/// preallocated copying — safe inside a worker's catch block and under
+/// artifact storms — and the artifact renders lazily as text or JSON
+/// (obs/trace.cpp, beside the trace renderers it shares).
+class FlightRecorder {
+ public:
+  static constexpr std::size_t kDefaultEventCapacity = 64;
+  static constexpr std::size_t kTraceCapacity = 2;
+
+  explicit FlightRecorder(std::size_t event_capacity = kDefaultEventCapacity);
+
+  bool captured() const { return captured_; }
+  /// Total triggers seen (including ones after the first capture).
+  std::uint64_t triggers() const { return triggers_; }
+  FlightReason reason() const { return reason_; }
+  std::uint64_t frame() const { return frame_; }
+
+  /// Counts the trigger and, unless a capture is already held, latches
+  /// one: the newest events of `ring` (oldest first), then the latest
+  /// completed and the active trace of `tracer`.
+  void capture(FlightReason reason, std::uint64_t frame,
+               const EventRing& ring, const TraceRecorder& tracer);
+
+  /// Deterministic text artifact (one event per line + trace summaries).
+  void dump_text(std::ostream& os) const;
+  /// The same artifact as a JSON object.
+  void dump_json(std::ostream& os) const;
+
+  void clear();
+
+ private:
+  std::vector<PipelineEvent> events_;
+  std::size_t event_count_ = 0;
+  std::vector<GestureTrace> traces_;
+  std::size_t trace_count_ = 0;
+  FlightReason reason_ = FlightReason::kQuarantine;
+  std::uint64_t frame_ = 0;
+  bool captured_ = false;
+  std::uint64_t triggers_ = 0;
+};
+
 /// The per-session observability bundle: clock + registry + event ring,
 /// with the session metric schema pre-registered and handles cached.
 class PipelineObservability {
@@ -138,8 +189,8 @@ class PipelineObservability {
   /// probe): every n-th frame carries them, starting with the first. The
   /// segment-level spans (decide and its children) are rare and always
   /// record. n == 1 records every frame — offline replay tools use that;
-  /// the default keeps steady-state tracing inside the bench's overhead
-  /// budget. Restarts the phase so the next frame is sampled.
+  /// the default keeps steady-state clock reads rare. Restarts the phase
+  /// so the next frame is sampled.
   void set_sample_every(std::uint32_t n);
   std::uint32_t sample_every() const { return sample_every_; }
 
@@ -173,7 +224,9 @@ class PipelineObservability {
   /// recent gesture traces into the flight recorder (first trigger wins,
   /// later ones only count). Pure preallocated copying — callable from the
   /// host worker's catch block and under artifact storms.
-  void capture_postmortem(FlightReason reason, std::uint64_t frame);
+  void capture_postmortem(FlightReason reason, std::uint64_t frame) {
+    flight_.capture(reason, frame, ring_, recorder_);
+  }
   bool has_postmortem() const { return flight_.captured(); }
   void dump_postmortem(std::ostream& os) const { flight_.dump_text(os); }
   void dump_postmortem_json(std::ostream& os) const { flight_.dump_json(os); }

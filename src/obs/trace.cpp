@@ -188,10 +188,9 @@ std::vector<TraceSpan> sorted_spans(const GestureTrace& t) {
   return spans;
 }
 
-void write_flight_event_text(std::ostream& os, const FlightEvent& e) {
-  const auto kind = static_cast<PipelineEvent::Kind>(e.kind);
-  os << "t_ns=" << e.t_ns << " frame=" << e.frame << ' ' << kind_name(kind);
-  switch (kind) {
+void write_flight_event_text(std::ostream& os, const PipelineEvent& e) {
+  os << "t_ns=" << e.t_ns << " frame=" << e.frame << ' ' << kind_name(e.kind);
+  switch (e.kind) {
     case PipelineEvent::Kind::kSegmentReject:
       os << ' ' << reject_name(static_cast<PipelineEvent::Reject>(e.detail));
       break;
@@ -241,23 +240,19 @@ FlightRecorder::FlightRecorder(std::size_t event_capacity) {
   traces_.resize(kTraceCapacity);
 }
 
-bool FlightRecorder::begin_capture(FlightReason reason, std::uint64_t frame) {
+void FlightRecorder::capture(FlightReason reason, std::uint64_t frame,
+                             const EventRing& ring,
+                             const TraceRecorder& tracer) {
   ++triggers_;
-  if (captured_) return false;
+  if (captured_) return;
   captured_ = true;
   reason_ = reason;
   frame_ = frame;
-  event_count_ = 0;
+  event_count_ = ring.copy_recent(events_.data(), events_.size());
   trace_count_ = 0;
-  return true;
-}
-
-void FlightRecorder::capture_event(const FlightEvent& event) {
-  if (event_count_ < events_.size()) events_[event_count_++] = event;
-}
-
-void FlightRecorder::capture_trace(const GestureTrace& trace) {
-  if (trace_count_ < traces_.size()) traces_[trace_count_++] = trace;
+  if (const GestureTrace* last = tracer.latest())
+    traces_[trace_count_++] = *last;
+  if (tracer.active()) traces_[trace_count_++] = tracer.active_trace();
 }
 
 void FlightRecorder::dump_text(std::ostream& os) const {
@@ -296,10 +291,10 @@ void FlightRecorder::dump_json(std::ostream& os) const {
      << ", \"frame\": " << frame_ << ", \"triggers\": " << triggers_
      << ", \"events\": [";
   for (std::size_t i = 0; i < event_count_; ++i) {
-    const FlightEvent& e = events_[i];
+    const PipelineEvent& e = events_[i];
     os << (i ? ", " : "") << "{\"t_ns\": " << e.t_ns
        << ", \"frame\": " << e.frame << ", \"kind\": \""
-       << kind_name(static_cast<PipelineEvent::Kind>(e.kind))
+       << kind_name(e.kind)
        << "\", \"detail\": " << static_cast<int>(e.detail)
        << ", \"begin\": " << e.begin << ", \"end\": " << e.end << "}";
   }
@@ -336,8 +331,8 @@ void write_us(std::ostream& os, std::uint64_t ns) {
 
 }  // namespace
 
-void ChromeTraceSink::write(std::ostream& os,
-                            const std::vector<SessionTraces>& sessions) {
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<SessionTraces>& sessions) {
   // Streams export in ascending id order regardless of how the caller
   // collected them, so shard/thread layout cannot reorder the bytes.
   std::vector<const SessionTraces*> ordered;
@@ -395,12 +390,6 @@ void ChromeTraceSink::write(std::ostream& os,
     }
   }
   os << "\n]}\n";
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<SessionTraces>& sessions) {
-  ChromeTraceSink sink;
-  sink.write(os, sessions);
 }
 
 std::string to_chrome_trace(const std::vector<SessionTraces>& sessions) {

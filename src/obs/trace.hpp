@@ -1,5 +1,7 @@
-// Gesture-scoped tracing, the flight recorder, and Perfetto-loadable
-// trace export (DESIGN.md §18).
+// Gesture-scoped tracing and Perfetto-loadable trace export (DESIGN.md
+// §18). The flight recorder, which freezes a session's newest pipeline
+// events and traces on a fault, is declared beside the event ring in
+// obs/pipeline.hpp and rendered in trace.cpp with the trace writers.
 //
 // A gesture trace follows one candidate segment from the frame that opened
 // it to the emission (or rejection) that retired it: every stage span the
@@ -200,97 +202,20 @@ class TraceRecorder {
   std::vector<std::uint64_t> exemplars_;
 };
 
-// --------------------------------------------------------------- flight
-
-/// Why a post-mortem capture was triggered.
-enum class FlightReason : std::uint8_t {
-  kQuarantine = 0,  ///< The session entered degraded mode.
-  kLaneFault = 1,   ///< The host isolated the lane after an exception.
-};
-const char* flight_reason_name(FlightReason reason);
-
-/// A compact copy of one pipeline event (mirrors obs::PipelineEvent
-/// without depending on it, so this header stays standalone).
-struct FlightEvent {
-  std::uint64_t t_ns = 0;
-  std::uint64_t frame = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint8_t kind = 0;    ///< PipelineEvent::Kind code.
-  std::uint8_t detail = 0;  ///< Kind-specific detail code.
-};
-
-/// Per-session post-mortem buffer: the first trigger (quarantine entry or
-/// lane fault) latches a copy of the last-N pipeline events and the most
-/// recent gesture traces; later triggers only count. Capture is pure
-/// preallocated copying — safe inside a worker's catch block and under
-/// artifact storms — and the artifact renders lazily as text or JSON.
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultEventCapacity = 64;
-  static constexpr std::size_t kTraceCapacity = 2;
-
-  explicit FlightRecorder(std::size_t event_capacity = kDefaultEventCapacity);
-
-  bool captured() const { return captured_; }
-  /// Total triggers seen (including ones after the first capture).
-  std::uint64_t triggers() const { return triggers_; }
-  FlightReason reason() const { return reason_; }
-  std::uint64_t frame() const { return frame_; }
-
-  /// Latches the capture; false when one is already held (the trigger is
-  /// still counted). The owner then appends events and traces.
-  bool begin_capture(FlightReason reason, std::uint64_t frame);
-  void capture_event(const FlightEvent& event);
-  void capture_trace(const GestureTrace& trace);
-
-  /// Deterministic text artifact (one event per line + trace summaries).
-  void dump_text(std::ostream& os) const;
-  /// The same artifact as a JSON object.
-  void dump_json(std::ostream& os) const;
-
-  void clear();
-
- private:
-  std::vector<FlightEvent> events_;
-  std::size_t event_count_ = 0;
-  std::vector<GestureTrace> traces_;
-  std::size_t trace_count_ = 0;
-  FlightReason reason_ = FlightReason::kQuarantine;
-  std::uint64_t frame_ = 0;
-  bool captured_ = false;
-  std::uint64_t triggers_ = 0;
-};
-
 // --------------------------------------------------------------- export
 
-/// Completed traces of one stream, ready for a TraceSink.
+/// Completed traces of one stream, ready for export.
 struct SessionTraces {
   std::uint64_t stream = 0;
   std::vector<GestureTrace> traces;
 };
 
-/// Serializes completed gesture traces. Implementations must be
-/// deterministic: identical inputs → byte-identical output.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void write(std::ostream& os,
-                     const std::vector<SessionTraces>& sessions) = 0;
-};
-
-/// Chrome trace-event JSON ("X" duration events per span, "i" instants
-/// for emission markers), loadable in Perfetto / chrome://tracing. One
-/// pid per stream, one tid per trace. Timestamps are exact microsecond
-/// strings rendered from integer nanoseconds (never float-formatted), so
-/// the output is byte-identical whenever the traces are.
-class ChromeTraceSink final : public TraceSink {
- public:
-  void write(std::ostream& os,
-             const std::vector<SessionTraces>& sessions) override;
-};
-
-/// Convenience wrapper over ChromeTraceSink.
+/// Writes completed gesture traces as Chrome trace-event JSON ("X"
+/// duration events per span, "i" instants for emission markers), loadable
+/// in Perfetto / chrome://tracing. One pid per stream, one tid per trace.
+/// Timestamps are exact microsecond strings rendered from integer
+/// nanoseconds (never float-formatted), so the output is byte-identical
+/// whenever the traces are.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<SessionTraces>& sessions);
 std::string to_chrome_trace(const std::vector<SessionTraces>& sessions);

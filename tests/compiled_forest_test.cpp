@@ -1,15 +1,13 @@
 // Locks the bit-identity invariants of the inference hot path (DESIGN.md
 // §11): the compiled SoA forest must predict exactly what the reference
-// tree walk predicts, a reused extraction workspace must change nothing,
-// and the incremental open-segment timing cache must reproduce the batch
-// analysis bit for bit.
+// tree walk predicts, and a reused extraction workspace must change
+// nothing. (The incremental open-segment timing cache is pinned against
+// the batch analysis in tests/probe_test.cpp.)
 #include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
 
-#include "core/ascending.hpp"
-#include "core/timing_cache.hpp"
 #include "features/bank.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/random_forest.hpp"
@@ -157,75 +155,6 @@ TEST(WorkspaceReuse, RepeatedExtractIntoMatchesFreshExtract) {
     bank.extract_into(span_windows, workspace, out);
     for (std::size_t i = 0; i < fresh.size(); ++i)
       expect_bits(fresh[i], out[i], bank.names()[i].c_str());
-  }
-}
-
-void expect_timing_equal(const core::SegmentTiming& a,
-                         const core::SegmentTiming& b, std::size_t n) {
-  SCOPED_TRACE("window length " + std::to_string(n));
-  ASSERT_EQ(a.active.size(), b.active.size());
-  for (std::size_t c = 0; c < a.active.size(); ++c) {
-    EXPECT_EQ(a.active[c], b.active[c]);
-    expect_bits(a.tau_s[c], b.tau_s[c], "tau_s");
-  }
-  EXPECT_EQ(a.first_active, b.first_active);
-  EXPECT_EQ(a.last_active, b.last_active);
-  expect_bits(a.dt_outer_s, b.dt_outer_s, "dt_outer_s");
-  EXPECT_EQ(a.envelope_peaks, b.envelope_peaks);
-  expect_bits(a.asymmetry_start, b.asymmetry_start, "asymmetry_start");
-  expect_bits(a.asymmetry_end, b.asymmetry_end, "asymmetry_end");
-  expect_bits(a.asymmetry_delta, b.asymmetry_delta, "asymmetry_delta");
-  expect_bits(a.transition_s, b.transition_s, "transition_s");
-  expect_bits(a.asymmetry_range, b.asymmetry_range, "asymmetry_range");
-  EXPECT_EQ(a.asymmetry_reversals, b.asymmetry_reversals);
-}
-
-// The incremental open-segment cache must reproduce the batch
-// segment_timing() bit for bit at every prefix length, across several
-// signal shapes (sequential humps like a scroll, overlapping humps like a
-// click, and plain noise).
-TEST(OpenSegmentTiming, IncrementalMatchesBatchAtEveryLength) {
-  constexpr std::size_t kChannels = 3;
-  constexpr double kRate = 100.0;
-  const core::TimingConfig config;
-
-  std::mt19937_64 rng(31337);
-  std::uniform_real_distribution<double> noise(0.0, 0.35);
-  for (int shape = 0; shape < 3; ++shape) {
-    const std::size_t total = 140 + static_cast<std::size_t>(shape) * 23;
-    std::vector<std::vector<double>> channels(kChannels,
-                                              std::vector<double>(total));
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      const double centre =
-          shape == 0 ? (0.25 + 0.25 * static_cast<double>(c)) *
-                           static_cast<double>(total)  // sequential (scroll)
-          : shape == 1 ? 0.5 * static_cast<double>(total)  // common (click)
-                       : -100.0;                           // noise only
-      for (std::size_t i = 0; i < total; ++i) {
-        const double d = (static_cast<double>(i) - centre) / 9.0;
-        channels[c][i] = 40.0 * std::exp(-0.5 * d * d) + noise(rng);
-      }
-    }
-
-    core::OpenSegmentTiming cache;
-    cache.configure(kChannels, kRate, config);
-    cache.begin_segment();
-    common::ScratchArena batch_arena;
-    double frame[kChannels];
-    std::vector<std::span<const double>> windows(kChannels);
-    for (std::size_t n = 1; n <= total; ++n) {
-      for (std::size_t c = 0; c < kChannels; ++c) frame[c] = channels[c][n - 1];
-      cache.append({frame, kChannels});
-      // Probe at several prefix lengths, including consecutive ones (the
-      // streaming cadence) and after skipped appends (lazy advance).
-      if (n % 7 != 0 && n != total) continue;
-      for (std::size_t c = 0; c < kChannels; ++c)
-        windows[c] = std::span<const double>(channels[c].data(), n);
-      const std::span<const std::span<const double>> w(windows);
-      const auto incremental = cache.timing(w);
-      const auto batch = core::segment_timing(w, kRate, config, batch_arena);
-      expect_timing_equal(incremental, batch, n);
-    }
   }
 }
 

@@ -1,11 +1,12 @@
 // Concurrency battery for the sharded MultiSessionHost (DESIGN.md §14).
 //
-// Locks in the serving-host contract the 10k-stream bench relies on:
+// Locks in the serving-host contract the sharded perfbench workloads
+// rely on:
 //
 //   * emissions are bit-identical across shard counts {1, 2, 8}, thread
-//     counts {1, 4} (auto-sharded), and ring capacities — the shardless
-//     inline host is the reference every threaded configuration must
-//     reproduce exactly;
+//     counts {1, 4} (auto-sharded), ring capacities, and one feeder
+//     thread per shard — the shardless inline host is the reference every
+//     threaded configuration must reproduce exactly;
 //   * a mid-trace fault quarantines exactly its own lane at any shard
 //     count, and sibling lanes on the same shard stay bit-identical to
 //     standalone sessions;
@@ -19,8 +20,10 @@
 //     matter how small the queues are.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -152,6 +155,57 @@ TEST(HostSharding, AutoShardCountFollowsThreadPoolAndEmissionsMatch) {
                               config);
   EXPECT_EQ(host.shard_count(), traces.size());
   expect_hosted_identical(reference, host.run_round_robin(traces, 37));
+}
+
+// One feeder thread per shard, each streaming exactly the lanes hashed
+// to its shard (index % shard_count()) in the same bursts as
+// run_round_robin: the concurrent-feed contract the single-producer
+// shard queues admit. Per-lane feed order matches the single-feeder
+// inline reference, so the drained events must match it bit for bit; the
+// race suite runs this under TSan.
+TEST(HostSharding, ParallelFeedersAreBitIdenticalToInlineHost) {
+  constexpr std::size_t kTurn = 53;
+  const auto traces = gesture_streams(6);
+  core::HostConfig inline_config;
+  inline_config.shards = 1;
+  core::MultiSessionHost reference_host(
+      trained_bundle(), traces.size(),
+      trained_bundle()->config().fault_policy, inline_config);
+  const auto reference = reference_host.run_round_robin(traces, kTurn);
+  ASSERT_FALSE(reference.empty());
+
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    core::HostConfig config;
+    config.shards = shards;
+    core::MultiSessionHost host(trained_bundle(), traces.size(),
+                                trained_bundle()->config().fault_policy,
+                                config);
+    ASSERT_EQ(host.shard_count(), shards);
+    std::vector<std::thread> feeders;
+    for (std::size_t s = 0; s < shards; ++s) {
+      feeders.emplace_back([&host, &traces, s, shards] {
+        std::vector<double> frame(traces.front().channel_count());
+        for (std::size_t offset = 0, pending = 1; pending; offset += kTurn) {
+          pending = 0;
+          for (std::size_t lane = s; lane < traces.size(); lane += shards) {
+            const auto& trace = traces[lane];
+            const std::size_t end =
+                std::min(offset + kTurn, trace.sample_count());
+            for (std::size_t f = offset; f < end; ++f) {
+              for (std::size_t c = 0; c < frame.size(); ++c)
+                frame[c] = trace.channel(c)[f];
+              host.feed(lane, frame);
+            }
+            if (end < trace.sample_count()) ++pending;
+          }
+        }
+      });
+    }
+    for (auto& t : feeders) t.join();  // happens-before the owner resuming
+    host.finish();
+    expect_hosted_identical(reference, host.drain());
+  }
 }
 
 // ------------------------------------------------ fault quarantine

@@ -11,7 +11,8 @@
 //     because the trace layer adds no clock reads of its own;
 //   * alloc-free after construction — recording, finalizing, and flight
 //     capture are struct copies into preallocated storage (pinned by
-//     bench_inference's allocs/frame ledger).
+//     perfbench's post-reset() replay and bench_robustness's storm
+//     traffic, which must allocate nothing with tracing on).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -175,11 +176,15 @@ TEST(TraceRouting, RuntimeDisabledRecorderStaysSilent) {
 
 // ------------------------------------------------------- flight recorder
 
+// The post-mortem artifacts are pinned byte for byte: every event line
+// and trace field an operator reads after a quarantine.
 TEST(FlightRecorder, QuarantineEntryLatchesAPostmortem) {
   obs::PipelineObservability obs;
   obs.set_clock(std::make_unique<obs::TickClock>(1000));
   using Kind = obs::PipelineEvent::Kind;
   obs.record(Kind::kSegmentOpen, 3, 30);
+  obs.observe_span(obs::Stage::kIngest, 100, 200);
+  obs.record(Kind::kEmit, 5, 30, 50, /*detail=*/3);  // early direction
   obs.record(Kind::kSegmentReject, 7, 30, 70,
              static_cast<std::uint8_t>(obs::PipelineEvent::Reject::kTooShort));
   obs.record(Kind::kQuarantineEnter, 8);
@@ -190,15 +195,39 @@ TEST(FlightRecorder, QuarantineEntryLatchesAPostmortem) {
 
   std::ostringstream text;
   obs.dump_postmortem(text);
-  EXPECT_NE(text.str().find("reason=quarantine"), std::string::npos);
-  EXPECT_NE(text.str().find("segment_open"), std::string::npos);
-  EXPECT_NE(text.str().find("quarantine_enter"), std::string::npos);
+  EXPECT_EQ(text.str(),
+            R"(flight recorder: reason=quarantine frame=8 triggers=1
+events (4):
+  t_ns=0 frame=3 segment_open segment=30..0
+  t_ns=1000 frame=5 emit type=3 segment=30..50
+  t_ns=2000 frame=7 segment_reject too_short segment=30..70
+  t_ns=3000 frame=8 quarantine_enter segment=0..0
+traces (1):
+  trace 1 outcome=abandoned segment=30..0 frames=3..7 spans=1 dropped=0
+    t0=100 dur=100 ingest
+    t=1000 emit type=3
+)");
 
   std::ostringstream json;
   obs.dump_postmortem_json(json);
-  EXPECT_NE(json.str().find("\"flight\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"reason\": \"quarantine\""),
-            std::string::npos);
+  EXPECT_EQ(json.str(),
+            R"({"flight": {"captured": true, "reason": "quarantine", )"
+            R"("frame": 8, "triggers": 1, "events": [)"
+            R"({"t_ns": 0, "frame": 3, "kind": "segment_open", )"
+            R"("detail": 0, "begin": 30, "end": 0}, )"
+            R"({"t_ns": 1000, "frame": 5, "kind": "emit", )"
+            R"("detail": 3, "begin": 30, "end": 50}, )"
+            R"({"t_ns": 2000, "frame": 7, "kind": "segment_reject", )"
+            R"("detail": 0, "begin": 30, "end": 70}, )"
+            R"({"t_ns": 3000, "frame": 8, "kind": "quarantine_enter", )"
+            R"("detail": 0, "begin": 0, "end": 0}], "traces": [)"
+            R"({"trace_id": 1, "stream": 0, "outcome": "abandoned", )"
+            R"("segment": [30, 0], "open_frame": 3, "close_frame": 7, )"
+            R"("t_open_ns": 0, "t_close_ns": 2000, "t_emit_ns": 0, )"
+            R"("emit_type": 0, "spans_dropped": 0, "spans": [)"
+            R"({"stage": "ingest", "t0_ns": 100, "dur_ns": 100}], )"
+            R"("marks": [{"t_ns": 1000, "frame": 5, "type": 3}]}]}})"
+            "\n");
 
   // Second trigger only counts; the first capture is retained.
   obs.record(Kind::kQuarantineEnter, 20);

@@ -10,8 +10,8 @@
 #      and the af_trace export replayed twice (byte-identical, valid JSON)
 #   4. asan:   ASan/UBSan build of the model/session/concurrency suites
 #   5. native: -DAF_NATIVE=ON tree replays the goldens
-#   6. bench:  hot-path microbenchmark smoke (0 allocs/frame, robustness
-#      and contention gates)
+#   6. bench:  bench_robustness smoke from the tier-1 tree (artifact
+#      detection gates, 0 allocs/frame on clean and storm traffic)
 #   7. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
 #
 # Usage: tools/run_checks.sh [--soak] [build-dir]   (default build-dir: build)
@@ -19,8 +19,8 @@
 # AF_SOAK=1) under the TSan tree — minutes of wall-clock, off by default.
 # Canonical build-dir layout (README.md): the tier-1 tree lives at
 # <build-dir> and every auxiliary tree nests under <build-dir>/aux
-# (<build-dir>/aux/asan, /aux/tsan, /aux/native, /aux/bench), so one
-# ignored root holds all generated trees. The aux/ level is load-bearing:
+# (<build-dir>/aux/asan, /aux/tsan, /aux/native), so one ignored root
+# holds all generated trees. The aux/ level is load-bearing:
 # the tier-1 tree writes a CTestTestfile.cmake for every source subdir
 # (bench/, tests/, ...), so a nested full configure at e.g.
 # <build-dir>/bench would overwrite it and leak the auxiliary tree's tests
@@ -113,10 +113,15 @@ cmake --build "${NATIVE_BUILD}" -j \
 "${NATIVE_BUILD}/tests/features_test"
 "${NATIVE_BUILD}/tests/compiled_forest_test"
 
-echo "== bench smoke: hot-path microbenchmark builds and runs =="
-# Includes the bench_robustness quality gates (per-class artifact detection
-# rate, clean-trace false positives, 0 allocs/frame under storms).
-"${ROOT}/tools/run_bench.sh" --smoke "${BUILD}/aux/bench"
+echo "== bench smoke: bench_robustness quality and allocation gates =="
+# The bench enforces its own gates (per-class artifact detection rate,
+# clean-trace false positives, 0 allocs/frame on clean and storm traffic)
+# and exits non-zero on a miss. The tier-1 tree is Release unless told
+# otherwise, so the smoke needs no tree of its own.
+ROBUST_OUT="$(mktemp /tmp/BENCH_robustness.smoke.XXXXXX.json)"
+"${BUILD}/bench/bench_robustness" --smoke 1 --users 2 --sessions 1 \
+  --reps 3 --out "${ROBUST_OUT}"
+rm -f "${ROBUST_OUT}"
 
 echo "== tsan: race-check the concurrency contract =="
 "${ROOT}/tools/run_tsan.sh" "${BUILD}/aux/tsan"
