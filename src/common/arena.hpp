@@ -18,8 +18,9 @@
 //   - *No destructors.* alloc<T>() requires trivially destructible T;
 //     rewinding is a pointer reset, never a destructor walk.
 //
-// Arenas are single-threaded by design: each Session (and each training
-// worker) owns its own. Sharing one across threads is a data race.
+// Arenas are single-threaded by design: each thread owns one, shared by
+// every Session it serves (features::thread_workspace()). Sharing one
+// across threads is a data race.
 #pragma once
 
 #include <cstddef>

@@ -315,6 +315,18 @@ bool read_flag(std::istream& is, const char* key) {
   return v == 1;
 }
 
+/// Reads past a `key <count>` line when the stream holds one next, for a
+/// field that older artifacts carry and nothing reads any more; otherwise
+/// leaves the stream where it was.
+void skip_retired_count(std::istream& is, const char* key) {
+  const std::istream::pos_type mark = is.tellg();
+  std::string tag;
+  const bool present = static_cast<bool>(is >> tag) && tag == key;
+  is.clear();
+  is.seekg(mark);
+  if (present) read_count(is, key);
+}
+
 /// FNV-1a 64-bit over the artifact payload. The footer this feeds lets
 /// load() reject any bit corruption before a single model byte is parsed.
 std::uint64_t fnv1a64(std::string_view bytes) {
@@ -352,7 +364,6 @@ void ModelBundle::save_payload(std::ostream& os) const {
   write_flag(os, "interference_filtering", config_.interference_filtering);
   write_flag(os, "hybrid_routing", config_.hybrid_routing);
   write_scalar(os, "hybrid_override_margin", config_.hybrid_override_margin);
-  write_count(os, "history_limit", config_.history_limit);
   write_scalar(os, "rejection_threshold", config_.rejection_threshold);
   write_scalar(os, "sbc_window_s", config_.processing.sbc_window_s);
   write_scalar(os, "feature_pad_s", config_.processing.feature_pad_s);
@@ -434,7 +445,7 @@ std::shared_ptr<ModelBundle> ModelBundle::load_payload(std::istream& is,
   config.hybrid_routing = read_flag(is, "hybrid_routing");
   config.hybrid_override_margin =
       read_scalar(is, "hybrid_override_margin");
-  config.history_limit = read_count(is, "history_limit");
+  skip_retired_count(is, "history_limit");
   config.rejection_threshold = read_scalar(is, "rejection_threshold");
   config.processing.sbc_window_s = read_scalar(is, "sbc_window_s");
   config.processing.feature_pad_s = read_scalar(is, "feature_pad_s");

@@ -52,12 +52,6 @@ struct AirFingerConfig {
   bool hybrid_routing = true;
   /// Classifier probability needed to override the rule-based router.
   double hybrid_override_margin = 0.50;
-  /// Streaming-history bound (samples per channel). A session keeps at
-  /// least this much recent ΔRSS² for segment analysis and compacts older
-  /// history between gestures, so a session of any length runs in constant
-  /// memory. Must comfortably exceed the longest gesture plus analysis
-  /// padding; ~40 s at 100 Hz by default.
-  std::size_t history_limit = 4096;
   /// A segment is rejected as unintentional motion only when the filter's
   /// P(gesture) falls below this (biasing towards keeping real gestures,
   /// as false rejections are costlier than an occasional false accept).
@@ -188,10 +182,12 @@ class ModelBundle {
 
   /// Reads an artifact written by save(). `base` supplies the structural
   /// configuration (bank/forest/processing); the serialized scalars
-  /// overwrite the corresponding fields of `base`. The integrity footer is
-  /// verified over the full payload before any parsing, so *any*
-  /// truncation or bit corruption throws PreconditionError — never a
-  /// crash, hang, runaway allocation, or partially constructed bundle.
+  /// overwrite the corresponding fields of `base`. Older artifacts carry a
+  /// `history_limit` line that configures nothing now; it is read past and
+  /// ignored. The integrity footer is verified over the full payload
+  /// before any parsing, so *any* truncation or bit corruption throws
+  /// PreconditionError — never a crash, hang, runaway allocation, or
+  /// partially constructed bundle.
   static std::shared_ptr<const ModelBundle> load(std::istream& is,
                                                  AirFingerConfig base = {});
 

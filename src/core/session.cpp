@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
+#include "features/workspace.hpp"
 
 namespace airfinger::core {
 
@@ -17,6 +19,26 @@ dsp::SegmenterConfig session_segmenter_config(
   seg.sample_rate_hz = bundle->config().sample_rate_hz;
   return seg;
 }
+
+/// The calling thread's workspace with its tracing sink pointed at one
+/// session for the scope of a probe or decide call. The previous sink is
+/// restored on exit, so the thread's workspace never points at a session
+/// outside that session's own calls.
+class BoundWorkspace {
+ public:
+  explicit BoundWorkspace(obs::PipelineObservability& obs)
+      : workspace_(features::thread_workspace()),
+        previous_(std::exchange(workspace_.obs, &obs)) {}
+  ~BoundWorkspace() { workspace_.obs = previous_; }
+  BoundWorkspace(const BoundWorkspace&) = delete;
+  BoundWorkspace& operator=(const BoundWorkspace&) = delete;
+
+  features::Workspace& get() { return workspace_; }
+
+ private:
+  features::Workspace& workspace_;
+  obs::PipelineObservability* previous_;
+};
 }  // namespace
 
 Session::Session(std::shared_ptr<const ModelBundle> bundle)
@@ -32,13 +54,6 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
   const std::size_t w = processor.window_samples(config().sample_rate_hz);
   for (std::size_t c = 0; c < config().channels; ++c)
     sbc_.emplace_back(w);
-  history_.resize(config().channels);
-  // Compaction keeps history_limit/2 samples and triggers past
-  // history_limit; reserving headroom beyond the trigger keeps steady
-  // pushes allocation-free (gestures longer than the headroom still work,
-  // they just reallocate).
-  for (auto& ch : history_)
-    ch.reserve(config().history_limit + config().history_limit / 2);
   open_view_.sample_rate_hz = config().sample_rate_hz;
   open_view_.delta_rss2.resize(config().channels);
   timing_cache_.configure(config().channels, config().sample_rate_hz,
@@ -67,45 +82,26 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
   }
 }
 
-ProcessedTrace Session::window_view(const dsp::Segment& segment) const {
-  AF_ASSERT(segment.begin >= history_base_,
-            "segment reaches behind the compacted history");
-  const std::size_t begin = segment.begin - history_base_;
-  const std::size_t end = segment.end - history_base_;
-  ProcessedTrace view;
-  view.sample_rate_hz = config().sample_rate_hz;
-  view.delta_rss2.reserve(history_.size());
-  for (const auto& ch : history_) {
-    AF_ASSERT(end <= ch.size(), "segment reaches beyond recorded history");
-    view.delta_rss2.emplace_back(ch.begin() + static_cast<long>(begin),
-                                 ch.begin() + static_cast<long>(end));
-  }
-  view.energy.assign(segment.length(), 0.0);
-  for (const auto& ch : view.delta_rss2)
-    for (std::size_t i = 0; i < ch.size(); ++i) view.energy[i] += ch[i];
-  return view;
-}
-
 void Session::handle_segment(const dsp::Segment& segment,
                              const EventCallback& callback) {
-  // Work on the segment window re-based to local indices. A completed (or
-  // flushed) segment is always a prefix of the maintained open-segment
-  // buffer — its end is the last above-threshold sample + 1, while the
-  // buffer extends through the below-threshold gap — so trimming the
-  // buffer yields the exact window with no copy.
-  GestureEvent event;
+  // Decide on the segment window re-based to local indices. A completed
+  // (or flushed) segment is always a prefix of the open-segment view: it
+  // opens on the view's first frame, and its end is the last
+  // above-threshold sample + 1 while the view extends through the
+  // below-threshold gap. Once quarantine has dropped the view, no segment
+  // closes until recalibration has reset the segmenter. Trimming the view
+  // therefore yields the exact window with no copy.
   const std::size_t len = segment.length();
+  AF_ASSERT(open_view_valid_ && segment.begin == open_segment_begin_ &&
+                len <= open_view_.energy.size(),
+            "closed segment is not a prefix of the open-segment view");
+  GestureEvent event;
   {
     obs::Span span(&obs_, obs::Stage::kDecide);
-    if (open_view_valid_ && segment.begin == open_segment_begin_ &&
-        len <= open_view_.energy.size()) {
-      for (auto& ch : open_view_.delta_rss2) ch.resize(len);
-      open_view_.energy.resize(len);
-      event = bundle_->decide(open_view_, dsp::Segment{0, len}, workspace_);
-    } else {
-      const ProcessedTrace view = window_view(segment);
-      event = bundle_->decide(view, dsp::Segment{0, len}, workspace_);
-    }
+    for (auto& ch : open_view_.delta_rss2) ch.resize(len);
+    open_view_.energy.resize(len);
+    BoundWorkspace workspace(obs_);
+    event = bundle_->decide(open_view_, dsp::Segment{0, len}, workspace.get());
   }
   open_view_valid_ = false;
   event.time_s = now();
@@ -222,11 +218,9 @@ void Session::recalibrate() {
   obs_.record(obs::PipelineEvent::Kind::kQuarantineExit, frames_);
   for (auto& s : sbc_) s.reset();
   segmenter_.reset();
-  for (auto& ch : history_) ch.clear();
   // Re-base: the segmenter restarts at position 0 while the stream clock
   // (frames_) keeps running, so segmenter-space indices are shifted by
   // segment_offset_ from here on.
-  history_base_ = frames_;
   segment_offset_ = frames_;
   open_view_valid_ = false;
   early_direction_sent_ = false;
@@ -245,11 +239,6 @@ void Session::push_frame(std::span<const double> frame,
                 " samples but the session expects " +
                 std::to_string(config().channels) + " channels");
   AF_EXPECT(static_cast<bool>(callback), "event callback is required");
-
-  // Re-point the workspace's tracing sink at this session every frame (one
-  // store): the pointer would dangle after a Session move if set once at
-  // construction, and the decision core reads it only underneath us.
-  workspace_.obs = &obs_;
 
   if (policy_.enabled) {
     const bool fault_now = scan_frame(frame);
@@ -530,24 +519,27 @@ void Session::ingest(std::span<const double> frame,
   obs::PipelineObservability* const frame_obs =
       obs_.sample_frame() ? &obs_ : nullptr;
 
+  // This frame's ΔRSS² per channel: kept only here unless a segment is
+  // open, in which case it is appended to the open-segment view below.
+  double deltas[kMaxTimingChannels] = {};
+  const std::size_t channels = frame.size();
   double energy = 0.0;
   const bool was_open = segmenter_.in_gesture();
   std::optional<dsp::Segment> completed;
   {
-    // Stage span: SBC update + history push + segmenter advance. At most
-    // one span per frame, so an idle stream costs at most two clock reads
-    // per sampling period.
+    // Stage span: SBC update + segmenter advance. At most one span per
+    // frame, so an idle stream costs at most two clock reads per sampling
+    // period.
     obs::Span span(frame_obs, obs::Stage::kIngest);
-    for (std::size_t c = 0; c < frame.size(); ++c) {
-      const double d = sbc_[c].push(frame[c]);
-      history_[c].push_back(d);
-      energy += d;
+    for (std::size_t c = 0; c < channels; ++c) {
+      deltas[c] = sbc_[c].push(frame[c]);
+      energy += deltas[c];
     }
     completed = segmenter_.push(energy);
   }
   ++frames_;
-  // Segmenter indices are relative to the last recalibration; events and
-  // history lookups use absolute stream indices.
+  // Segmenter indices are relative to the last recalibration; events use
+  // absolute stream indices.
   if (completed) {
     completed->begin += segment_offset_;
     completed->end += segment_offset_;
@@ -568,17 +560,14 @@ void Session::ingest(std::span<const double> frame,
   // Maintain the open-segment view incrementally: O(channels) per frame
   // instead of an O(channels · length) copy per probe.
   if (open_view_valid_ && (was_open || segmenter_.in_gesture())) {
-    for (std::size_t c = 0; c < history_.size(); ++c)
-      open_view_.delta_rss2[c].push_back(history_[c].back());
+    for (std::size_t c = 0; c < channels; ++c)
+      open_view_.delta_rss2[c].push_back(deltas[c]);
     open_view_.energy.push_back(energy);
     // Feed the probe's incremental timing analysis; once the early verdict
     // is out no probe will read it again this segment.
     if (!early_direction_sent_) {
       obs::Span span(frame_obs, obs::Stage::kTimingCache);
-      double deltas[kMaxTimingChannels];
-      for (std::size_t c = 0; c < history_.size(); ++c)
-        deltas[c] = history_[c].back();
-      timing_cache_.append({deltas, history_.size()});
+      timing_cache_.append({deltas, channels});
     }
   }
 
@@ -596,7 +585,8 @@ void Session::ingest(std::span<const double> frame,
       const dsp::Segment local{0, open_len};
       const auto est = [&] {
         obs::Span span(frame_obs, obs::Stage::kProbe);
-        return bundle_->probe_direction(open_view_, local, workspace_,
+        BoundWorkspace workspace(obs_);
+        return bundle_->probe_direction(open_view_, local, workspace.get(),
                                         timing_cache_);
       }();
       if (est) {
@@ -626,23 +616,10 @@ void Session::ingest(std::span<const double> frame,
     }
     open_view_valid_ = false;
   }
-
-  // Compact old history between gestures (and only after any completed
-  // segment has been analysed): keep the most recent half of the limit so
-  // any segment the segmenter can still close stays in range.
-  if (!segmenter_.in_gesture() &&
-      history_.front().size() > config().history_limit) {
-    const std::size_t keep = config().history_limit / 2;
-    const std::size_t drop = history_.front().size() - keep;
-    for (auto& ch : history_)
-      ch.erase(ch.begin(), ch.begin() + static_cast<long>(drop));
-    history_base_ += drop;
-  }
 }
 
 void Session::finish(const EventCallback& callback) {
   AF_EXPECT(static_cast<bool>(callback), "event callback is required");
-  workspace_.obs = &obs_;
   // A quarantined stream ends without trusting its pre-fault open segment
   // (already counted in segments_dropped when quarantine was entered).
   if (quarantined_) return;
@@ -660,8 +637,6 @@ void Session::finish(const EventCallback& callback) {
 void Session::reset() {
   for (auto& s : sbc_) s.reset();
   segmenter_.reset();
-  for (auto& ch : history_) ch.clear();
-  history_base_ = 0;
   frames_ = 0;
   early_direction_sent_ = false;
   open_segment_begin_ = 0;

@@ -2,14 +2,17 @@
 //
 // A Session owns everything that changes as frames arrive from one sensor
 // stream: the per-channel SBC delay lines, the dynamic-threshold segmenter
-// calibration, the bounded ΔRSS² history, and the early-direction
-// bookkeeping for the currently open segment. Construction from a
+// calibration, the ΔRSS² of the currently open segment, and that segment's
+// early-direction bookkeeping. It keeps no ΔRSS² between segments: every
+// decision reads only the open segment. Construction from a
 // `shared_ptr<const ModelBundle>` is O(1) — it allocates only the small
 // per-stream buffers and copies no forest data — so a serving host can
 // spin up one Session per connected wearable against one resident copy of
-// the trained models. Sessions over the same bundle are independent:
-// driving them from different threads needs no synchronization beyond the
-// bundle's shared (read-only) ownership.
+// the trained models. The decision core's scratch arena belongs to the
+// thread, not the Session (features::thread_workspace()), so all Sessions
+// served on one thread share one. Sessions over the same bundle are
+// independent: driving them from different threads needs no
+// synchronization beyond the bundle's shared (read-only) ownership.
 #pragma once
 
 #include <functional>
@@ -18,7 +21,6 @@
 #include "core/health.hpp"
 #include "core/model_bundle.hpp"
 #include "dsp/sbc.hpp"
-#include "features/workspace.hpp"
 #include "obs/pipeline.hpp"
 
 namespace airfinger::core {
@@ -87,8 +89,8 @@ class Session {
   bool quarantined() const { return quarantined_; }
 
   /// Clears all streaming state (SBC delay lines, segmenter calibration,
-  /// ΔRSS² history, quarantine state, health counters) so the session can
-  /// process an unrelated recording. The shared bundle is untouched.
+  /// open-segment view, quarantine state, health counters) so the session
+  /// can process an unrelated recording. The shared bundle is untouched.
   void reset();
 
  private:
@@ -125,14 +127,13 @@ class Session {
   void note_artifact(ArtifactClass cls, std::uint64_t begin,
                      std::uint64_t end);
   void enter_quarantine();
-  /// Leaves quarantine: fresh SBC delay lines, segmenter calibration, and
-  /// history, re-based at the current stream position.
+  /// Leaves quarantine: fresh SBC delay lines and segmenter calibration,
+  /// re-based at the current stream position.
   void recalibrate();
   void handle_segment(const dsp::Segment& segment,
                       const EventCallback& callback);
   /// Counts and trace-records one delivered GestureEvent.
   void note_emission(const GestureEvent& event);
-  ProcessedTrace window_view(const dsp::Segment& segment) const;
   double now() const {
     return static_cast<double>(frames_) / config().sample_rate_hz;
   }
@@ -141,26 +142,18 @@ class Session {
   FaultPolicy policy_;
   std::vector<dsp::SquareBasedCalculator> sbc_;
   dsp::DynamicThresholdSegmenter segmenter_;
-  /// Recent ΔRSS² per channel. Indexing is absolute sample counts; the
-  /// vectors hold samples [history_base_, frames_) and are compacted
-  /// between gestures so memory stays bounded (config().history_limit).
-  /// Reserved up front (and compacted by erase, which keeps capacity) so
-  /// steady-state frames never reallocate.
-  std::vector<std::vector<double>> history_;
-  std::size_t history_base_ = 0;
   std::size_t frames_ = 0;
   /// Early-direction bookkeeping for the currently open segment.
   bool early_direction_sent_ = false;
   std::size_t open_segment_begin_ = 0;
-  /// Local-index view of the currently open segment, maintained
-  /// incrementally (O(channels) per frame) instead of re-copied per probe.
-  /// Valid from segment open until the segment is decided or abandoned;
-  /// spans [open_segment_begin_, frames_) while valid.
+  /// The ΔRSS² of the currently open segment in local indices, appended
+  /// one frame at a time (O(channels) per frame). It is the only ΔRSS²
+  /// the session keeps: the probe reads all of it, and a closing segment,
+  /// which opened on the view's first frame, is decided on a prefix of
+  /// it. Valid from segment open until the segment is decided or
+  /// abandoned; spans [open_segment_begin_, frames_) while valid.
   ProcessedTrace open_view_;
   bool open_view_valid_ = false;
-  /// Per-session scratch arena for the decision core and feature bank; at
-  /// its high-water mark, probing and deciding allocate nothing.
-  features::Workspace workspace_;
   /// Incremental timing analysis over the open segment: fed one frame at a
   /// time so each early-direction probe costs amortized O(n) instead of
   /// recomputing segment_timing() from scratch. Configured from the
@@ -176,7 +169,7 @@ class Session {
   std::size_t clean_run_ = 0;
   /// Absolute sample index the segmenter's position 0 corresponds to.
   /// 0 until the first recalibration; segmenter-space segment indices are
-  /// shifted by this before any history lookup or event emission.
+  /// shifted by this before any event emission.
   std::size_t segment_offset_ = 0;
   /// Per-channel fault detectors: last sample value and the lengths of the
   /// current identical-value and saturated runs. Fixed-size, allocated at

@@ -88,10 +88,9 @@ ml::SampleSet build_feature_set(const synth::Dataset& dataset,
     // One scratch arena per worker thread (DESIGN.md §11): after the first
     // sample sizes it, extraction stops touching the heap. extract_into is
     // bit-identical to extract, so parallel determinism is unaffected.
-    thread_local features::Workspace workspace;
     row.features.resize(bank.feature_count());
     bank.extract_into(std::span<const std::span<const double>>(windows),
-                      workspace, row.features);
+                      features::thread_workspace(), row.features);
     row.label = label;
     switch (groups) {
       case GroupScheme::kNone: break;

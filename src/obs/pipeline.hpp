@@ -134,10 +134,10 @@ const char* flight_reason_name(FlightReason reason);
 /// (obs/trace.cpp, beside the trace renderers it shares).
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultEventCapacity = 64;
+  static constexpr std::size_t kEventCapacity = 64;
   static constexpr std::size_t kTraceCapacity = 2;
 
-  explicit FlightRecorder(std::size_t event_capacity = kDefaultEventCapacity);
+  FlightRecorder();
 
   bool captured() const { return captured_; }
   /// Total triggers seen (including ones after the first capture).

@@ -234,11 +234,8 @@ void write_trace_json(std::ostream& os, const GestureTrace& t) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t event_capacity) {
-  AF_EXPECT(event_capacity >= 1, "flight recorder needs event capacity >= 1");
-  events_.resize(event_capacity);
-  traces_.resize(kTraceCapacity);
-}
+FlightRecorder::FlightRecorder()
+    : events_(kEventCapacity), traces_(kTraceCapacity) {}
 
 void FlightRecorder::capture(FlightReason reason, std::uint64_t frame,
                              const EventRing& ring,

@@ -1,10 +1,13 @@
 // Tests for the ModelBundle / Session split: single-file artifact
-// round-trips (bit-identical predictions), malformed-input rejection,
-// zero-copy shared ownership of the models, and MultiSessionHost event
-// equivalence with standalone sessions.
+// round-trips (bit-identical predictions), loading artifacts that carry a
+// retired field, malformed-input rejection, zero-copy shared ownership of
+// the models, re-entrant Sessions sharing one thread's scratch arena, and
+// MultiSessionHost event equivalence with standalone sessions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -44,6 +47,16 @@ const synth::Dataset& probe_corpus() {
     return synth::DatasetBuilder(config).collect();
   }();
   return probes;
+}
+
+/// FNV-1a 64-bit, the checksum of the bundle artifact's integrity footer.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
 }
 
 void expect_events_identical(const std::vector<core::GestureEvent>& a,
@@ -98,6 +111,35 @@ TEST(Bundle, RoundTripIsBitIdentical) {
   std::stringstream first;
   original->save(first);
   EXPECT_EQ(first.str(), resaved.str());
+}
+
+// Artifacts written while sessions kept a whole-stream ΔRSS² history carry
+// a `history_limit <count>` line after `hybrid_override_margin`. Such an
+// artifact must still load, serve exactly the events of the bundle that
+// wrote it, and save back without the line.
+TEST(Bundle, LoadsArtifactCarryingRetiredHistoryLimit) {
+  const auto& original = trained_bundle();
+  std::stringstream artifact;
+  original->save(artifact);
+  const std::string current = artifact.str();
+
+  std::string payload = current.substr(0, current.rfind("checksum "));
+  const std::size_t margin = payload.find("\nhybrid_override_margin ");
+  ASSERT_NE(margin, std::string::npos);
+  payload.insert(payload.find('\n', margin + 1) + 1, "history_limit 4096\n");
+  std::stringstream legacy(payload + "checksum " +
+                           std::to_string(fnv1a64(payload)) + "\n");
+  const auto loaded = core::ModelBundle::load(legacy);
+
+  for (const auto& probe : probe_corpus().samples) {
+    core::Session served_original(original);
+    core::Session served_legacy(loaded);
+    expect_events_identical(served_original.process_trace(probe.trace),
+                            served_legacy.process_trace(probe.trace));
+  }
+  std::stringstream resaved;
+  loaded->save(resaved);
+  EXPECT_EQ(resaved.str(), current);
 }
 
 // The serving path's timing analysis handles at most kMaxTimingChannels
@@ -220,6 +262,56 @@ TEST(Session, IndependentSessionsMatchSerialReplay) {
     core::Session fresh(bundle);
     expect_events_identical(via_reused, fresh.process_trace(probe.trace));
   }
+
+  // Nested: every Session on a thread shares the thread's scratch arena.
+  // Session A's event callback pushes Session B's next frames until B
+  // emits, so B probes and decides while A is inside push_frame. Both
+  // event streams must match separate replays bit for bit.
+  std::size_t nested_events = 0;
+  for (std::size_t i = 0; i < probes.samples.size(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const auto& trace_a = probes.samples[i].trace;
+    const auto& trace_b =
+        probes.samples[(i + 1) % probes.samples.size()].trace;
+    core::Session a(bundle);
+    core::Session b(bundle);
+    std::vector<core::GestureEvent> events_a;
+    std::vector<core::GestureEvent> events_b;
+    const core::Session::EventCallback sink_b =
+        [&events_b](const core::GestureEvent& e) { events_b.push_back(e); };
+    std::vector<double> frame_b(trace_b.channel_count());
+    std::size_t next_b = 0;
+    const auto advance_b = [&] {
+      const std::size_t before = events_b.size();
+      while (next_b < trace_b.sample_count() && events_b.size() == before) {
+        for (std::size_t c = 0; c < frame_b.size(); ++c)
+          frame_b[c] = trace_b.channel(c)[next_b];
+        ++next_b;
+        b.push_frame(frame_b, sink_b);
+      }
+      return events_b.size() - before;
+    };
+    const core::Session::EventCallback sink_a =
+        [&](const core::GestureEvent& e) {
+          events_a.push_back(e);
+          nested_events += advance_b();
+        };
+    std::vector<double> frame_a(trace_a.channel_count());
+    for (std::size_t k = 0; k < trace_a.sample_count(); ++k) {
+      for (std::size_t c = 0; c < frame_a.size(); ++c)
+        frame_a[c] = trace_a.channel(c)[k];
+      a.push_frame(frame_a, sink_a);
+    }
+    a.finish(sink_a);
+    while (next_b < trace_b.sample_count()) advance_b();
+    b.finish(sink_b);
+
+    core::Session alone_a(bundle);
+    core::Session alone_b(bundle);
+    expect_events_identical(events_a, alone_a.process_trace(trace_a));
+    expect_events_identical(events_b, alone_b.process_trace(trace_b));
+  }
+  EXPECT_GT(nested_events, 0u);
 }
 
 TEST(MultiSessionHost, MatchesStandaloneSessions) {

@@ -185,15 +185,15 @@ TEST(Integration, VelocityCorrelatesWithTruth) {
 }
 
 TEST(Integration, LongStreamRunsInBoundedMemory) {
-  // Feed ~3 history-limits of idle-ish frames plus gestures: the engine
-  // must keep producing events and never index behind its compacted
-  // history (exercised by the window_view invariants).
+  // Feed more than 3×1024 frames of idle-ish stream plus gestures: the
+  // engine must keep producing events while it keeps only the open
+  // segment's ΔRSS² (every decide asserts that the closed segment is a
+  // prefix of the open-segment view).
   TrainerConfig config;
   config.users = 2;
   config.sessions = 1;
   config.repetitions = 4;
   config.seed = 3001;
-  config.engine.history_limit = 1024;
   Session engine(build_bundle(config));
 
   synth::CollectionConfig stream_config;

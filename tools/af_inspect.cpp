@@ -66,8 +66,6 @@ void print_bundle(const std::string& path,
                 std::to_string(config.rejection_threshold)});
   meta.add_row({"zebra velocity gain",
                 std::to_string(config.zebra.velocity_gain)});
-  meta.add_row({"history limit",
-                std::to_string(config.history_limit) + " samples"});
   meta.print(std::cout);
   std::cout << "\nrecognizer: ";
   print_feature_table(bundle.recognizer());

@@ -40,7 +40,7 @@ BUILD="${1:-${ROOT}/build}"
 
 echo "== tier-1: warning-free build + ctest =="
 cmake -B "${BUILD}" -S "${ROOT}" -DAIRFINGER_WERROR=ON
-cmake --build "${BUILD}" -j
+cmake --build "${BUILD}" -j "$(nproc)"
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
 echo "== flake hunt: host/ring/telemetry/io tests, 5 parallel rounds =="
@@ -82,7 +82,7 @@ ASAN_BUILD="${BUILD}/aux/asan"
 cmake -B "${ASAN_BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=address,undefined
-cmake --build "${ASAN_BUILD}" -j \
+cmake --build "${ASAN_BUILD}" -j "$(nproc)" \
   --target bundle_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 "${ASAN_BUILD}/tests/bundle_test"
 "${ASAN_BUILD}/tests/serialize_test"
@@ -106,7 +106,7 @@ echo "== native cross-check: -DAF_NATIVE=ON tree must replay the goldens =="
 # the same tree.
 NATIVE_BUILD="${BUILD}/aux/native"
 cmake -B "${NATIVE_BUILD}" -S "${ROOT}" -DAF_NATIVE=ON
-cmake --build "${NATIVE_BUILD}" -j \
+cmake --build "${NATIVE_BUILD}" -j "$(nproc)" \
   --target golden_replay_test dsp_test features_test compiled_forest_test
 "${NATIVE_BUILD}/tests/golden_replay_test"
 "${NATIVE_BUILD}/tests/dsp_test"
@@ -129,7 +129,7 @@ echo "== tsan: race-check the concurrency contract =="
 if [[ "${SOAK}" == "1" ]]; then
   echo "== soak: 10k-session sharded host under TSan (AF_SOAK=1) =="
   TSAN_BUILD="${BUILD}/aux/tsan"
-  cmake --build "${TSAN_BUILD}" -j --target host_soak_test
+  cmake --build "${TSAN_BUILD}" -j "$(nproc)" --target host_soak_test
   AF_SOAK=1 ctest --test-dir "${TSAN_BUILD}" --output-on-failure -L soak
 fi
 

@@ -14,7 +14,7 @@ BUILD="${1:-${ROOT}/build/aux/tsan}"
 cmake -B "${BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=thread
-cmake --build "${BUILD}" -j --target parallel_test spsc_ring_test host_shard_test probe_test determinism_test core_test bundle_test compiled_forest_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
+cmake --build "${BUILD}" -j "$(nproc)" --target parallel_test spsc_ring_test host_shard_test probe_test determinism_test core_test bundle_test compiled_forest_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export AF_THREADS="${AF_THREADS:-4}"
