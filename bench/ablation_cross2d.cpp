@@ -54,7 +54,7 @@ const char* direction_name(core::SwipeDirection8 d) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("bench_ablation_cross2d",
                   "Sec. VI extension: 2-D swipe tracking on a cross board");
   cli.add_flag("seed", "7", "random seed");
@@ -109,4 +109,8 @@ int main(int argc, char** argv) {
                "processing — the multi-dimensional sensing area the paper "
                "envisions.\nWrote ablation_cross2d.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

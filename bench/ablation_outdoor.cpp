@@ -46,7 +46,7 @@ double accuracy_at(double attenuation, FrontEnd mode,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_ablation_outdoor",
       "Sec. VI ablation: sunlight intensity vs accuracy, standard front "
@@ -87,4 +87,8 @@ int main(int argc, char** argv) {
                "hardening the paper proposes.\nWrote "
                "ablation_outdoor.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -34,7 +34,7 @@ void ascii_plot(std::span<const double> y, std::size_t rows = 12,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig03_waveforms",
       "Fig. 3: characteristic RSS readings of the eight gestures");
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
                "periodic, rub/double rub fast bursts,\nclick/double click "
                "one/two sharp spikes, scrolls a single travelling hump.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

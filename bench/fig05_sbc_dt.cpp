@@ -39,7 +39,7 @@ double segmentation_iou(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig05_sbc_dt",
       "Fig. 5: SBC noise mitigation + DT gesture segmentation");
@@ -120,4 +120,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nWrote the stream series to fig05_stream.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

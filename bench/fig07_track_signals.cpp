@@ -47,7 +47,7 @@ void report(const synth::GestureSample& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig07_track_signals",
       "Fig. 7: per-photodiode signals of the track-aimed gestures");
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
                "energy arriving before P3's (ΔA > 0); scroll down the "
                "reverse.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -12,7 +12,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("bench_fig08_distance",
                   "Fig. 8: accuracy vs sensing distance");
   cli.add_flag("step_cm", "1.0", "distance increment (paper: 0.5)");
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
                "auto-gain), so expect the same plateau-then-decay shape "
                "with an earlier knee.\nWrote fig08_distance.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

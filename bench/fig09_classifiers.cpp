@@ -20,7 +20,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig09_classifiers",
       "Fig. 9: RF vs LR vs DT vs BNB over the testing-data share");
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
   std::cout << "Shape check: RF highest throughout; accuracies drift down "
                "as the test share grows.\nWrote fig09_classifiers.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

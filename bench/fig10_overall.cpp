@@ -11,7 +11,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig10_overall",
       "Fig. 10: overall detect-aimed performance (5-fold CV)");
@@ -48,4 +48,8 @@ int main(int argc, char** argv) {
   std::cout << "Paper: lowest recall 90.65%, lowest precision 92.13%.\n"
                "Wrote fig10_per_class.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

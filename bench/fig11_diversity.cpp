@@ -12,7 +12,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig11_diversity",
       "Fig. 11: leave-one-user-out (individual diversity)");
@@ -58,4 +58,8 @@ int main(int argc, char** argv) {
                "chance — pre-training without per-user calibration "
                "remains viable.\nWrote fig11_per_user.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -13,7 +13,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig12_sessions",
       "Fig. 12: leave-one-session-out (gesture inconsistency)");
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
                "same-session result (Fig. 10).\nWrote "
                "fig12_per_session.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

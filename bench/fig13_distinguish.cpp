@@ -27,7 +27,7 @@ int truth_label(synth::MotionKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("bench_fig13_distinguish",
                   "Fig. 13: detect- vs track-aimed gesture distinction");
   const auto args = bench::parse_args(argc, argv, "", "", &cli);
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "Wrote fig13_ig_sweep.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -11,7 +11,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig14_unintentional",
       "Fig. 14: gesture vs unintentional-motion filtering (3-fold CV)");
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                      common::Table::num(total.rate(t, p), 4)});
   std::cout << "Wrote fig14_confusion.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -11,7 +11,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig15_ambient",
       "Fig. 15: accuracy under environmental NIR changes (time of day)");
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
                "midday (strongest ambient NIR) and stays usable at every "
                "hour.\nWrote fig15_ambient.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

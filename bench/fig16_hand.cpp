@@ -11,7 +11,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig16_hand",
       "Fig. 16: non-dominant hand performance (3-fold CV)");
@@ -55,4 +55,8 @@ int main(int argc, char** argv) {
                "Shape check: a small but visible gap in the same "
                "direction.\nWrote fig16_hand.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -11,7 +11,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_fig17_wristband",
       "Fig. 17: wristband conditions (sitting / standing / walking)");
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
                "walking, with walking still usable.\nWrote "
                "fig17_wristband.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

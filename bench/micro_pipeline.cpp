@@ -13,6 +13,7 @@
 
 #include "common/parallel.hpp"
 #include "core/data_processor.hpp"
+#include "core/multi_session_host.hpp"
 #include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "core/training.hpp"
@@ -129,17 +130,27 @@ static void BM_ZebraTrack(benchmark::State& state) {
 }
 BENCHMARK(BM_ZebraTrack);
 
-// --- Full streaming frame path (the real-time budget: must be far below
-// the 10 ms frame interval of the 100 Hz prototype).
-static void BM_EnginePushFrame(benchmark::State& state) {
-  static core::Session engine = [] {
+namespace {
+
+/// The small trained bundle the streaming-path benchmarks serve.
+const std::shared_ptr<const core::ModelBundle>& serving_bundle() {
+  static const std::shared_ptr<const core::ModelBundle> bundle = [] {
     core::TrainerConfig config;
     config.users = 2;
     config.sessions = 1;
     config.repetitions = 4;
     config.seed = 0xE11;
-    return core::Session(core::build_bundle(config));
+    return core::build_bundle(config);
   }();
+  return bundle;
+}
+
+}  // namespace
+
+// --- Full streaming frame path (the real-time budget: must be far below
+// the 10 ms frame interval of the 100 Hz prototype). One hot Session.
+static void BM_EnginePushFrame(benchmark::State& state) {
+  static core::Session engine(serving_bundle());
   const auto& s = sample_data().samples.front();
   std::vector<double> frame(3);
   std::size_t i = 0;
@@ -159,6 +170,45 @@ static void BM_EnginePushFrame(benchmark::State& state) {
   benchmark::DoNotOptimize(events);
 }
 BENCHMARK(BM_EnginePushFrame);
+
+// --- The same frames served round-robin by an inline-mode host: one frame
+// per lane per tick, drained by pump() at the end of the tick, as a paced
+// 100 Hz server does. Every lane replays BM_EnginePushFrame's fixed-seed
+// recording, each from its own staggered offset, so the frame mix is the
+// same and /N ÷ BM_EnginePushFrame is what N lanes' cold per-stream state
+// (plus the host's per-frame mechanics) costs over one hot session.
+static void BM_HostRoundRobin(benchmark::State& state) {
+  const sensor::MultiChannelTrace& trace = sample_data().samples.front().trace;
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  core::HostConfig host_config;
+  host_config.shards = 1;
+  core::MultiSessionHost host(serving_bundle(), lanes,
+                              serving_bundle()->config().fault_policy,
+                              host_config);
+  const std::size_t channels = trace.channel_count();
+  std::vector<std::size_t> cursor(lanes);
+  for (std::size_t i = 0; i < lanes; ++i)
+    cursor[i] = (i * 97) % trace.sample_count();
+  std::vector<double> frame(channels);
+  std::size_t lane = 0;
+  std::size_t since_drain = 0;
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < channels; ++c)
+      frame[c] = trace.channel(c)[cursor[lane]];
+    if (++cursor[lane] == trace.sample_count()) cursor[lane] = 0;
+    host.feed(lane, frame);
+    if (++lane == lanes) {
+      lane = 0;
+      host.pump();
+      // Hand the (rare) emissions off every few thousand frames.
+      if ((since_drain += lanes) >= 4096) {
+        since_drain = 0;
+        benchmark::DoNotOptimize(host.drain());
+      }
+    }
+  }
+}
+BENCHMARK(BM_HostRoundRobin)->Arg(1)->Arg(16)->Arg(512)->Arg(2000);
 
 // --- Dataset synthesis cost (substrate throughput).
 static void BM_SynthesizeSample(benchmark::State& state) {

@@ -44,6 +44,10 @@
 // ------------------------------------------------------------ alloc hook
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+/// Out of line, so no caller inlines a std::free against the replaced
+/// operator new (GCC's -Wmismatched-new-delete would flag the pair).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -72,17 +76,17 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace {
@@ -292,7 +296,7 @@ struct ClassResult {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("bench_robustness",
                   "artifact detection/repair quality baseline");
   cli.add_flag("smoke", "0", "1 = small CI substrate, same gates");
@@ -525,4 +529,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

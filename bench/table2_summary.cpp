@@ -18,7 +18,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   const auto args = bench::parse_args(
       argc, argv, "bench_table2_summary",
       "Table II: overall performance summary");
@@ -158,4 +158,8 @@ int main(int argc, char** argv) {
   csv.write_row({"rating", "2.6", common::Table::num(rating, 2)});
   std::cout << "Wrote table2_summary.csv.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -63,7 +63,7 @@ ml::SampleSet featurize_custom(const synth::Dataset& data,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("custom_gestures",
                   "train a user-defined gesture vocabulary");
   cli.add_flag("seed", "808", "random seed");
@@ -122,4 +122,8 @@ int main(int argc, char** argv) {
                "importance selection) supports any\nvocabulary — the "
                "paper's personalization story needs no new machinery.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

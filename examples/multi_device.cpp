@@ -20,7 +20,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("multi_device",
                   "serve several simulated wearables from one model bundle");
   cli.add_flag("seed", "42", "master random seed");
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
             << host.frames_processed() << " frames across " << devices
             << " sessions sharing one bundle.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -16,7 +16,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("quickstart",
                   "train an airFinger bundle and recognize a gesture mix");
   cli.add_flag("seed", "42", "master random seed");
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
             << stream.trace.sample_count() << " frames ("
             << stream.trace.duration_s() << " s of signal).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

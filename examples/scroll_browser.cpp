@@ -45,7 +45,7 @@ void render_viewport(const std::vector<std::string>& article, double offset,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("scroll_browser",
                   "drive a reading interface with track-aimed gestures");
   cli.add_flag("seed", "2024", "random seed");
@@ -119,4 +119,8 @@ int main(int argc, char** argv) {
               << common::Table::num(rating_sum / rated, 1)
               << "/3.0 (paper's volunteers rated 2.6/3.0)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -60,7 +60,7 @@ void render(int x, int y, int w, int h) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("trackpad_2d",
                   "drive a cursor with 2-D swipes over the cross board");
   cli.add_flag("seed", "99", "random seed");
@@ -103,4 +103,8 @@ int main(int argc, char** argv) {
   std::cout << "\n" << correct << "/" << total
             << " swipes tracked within ±22.5°.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -16,7 +16,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("wristband_demo",
                   "recognition on a wristband while sitting / standing / "
                   "walking");
@@ -100,4 +100,8 @@ int main(int argc, char** argv) {
                "(per-condition 3-fold CV) and shows the sitting ≥ standing "
                "> walking shape.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

@@ -7,6 +7,24 @@
 
 namespace airfinger::common {
 
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  const auto report = [&](const std::exception& e) {
+    const std::string program = argc > 0 ? argv[0] : "airfinger";
+    std::cerr << program.substr(program.find_last_of('/') + 1) << ": "
+              << e.what() << "\n";
+  };
+  try {
+    return body(argc, argv);
+  } catch (const UsageError& e) {
+    report(e);
+    std::cerr << "\n" << e.usage();
+    return 2;
+  } catch (const PreconditionError& e) {
+    report(e);
+    return 1;
+  }
+}
+
 Cli::Cli(std::string program_name, std::string description)
     : program_(std::move(program_name)), description_(std::move(description)) {}
 
@@ -24,7 +42,7 @@ bool Cli::parse(int argc, const char* const* argv) {
       std::cout << usage();
       return false;
     }
-    AF_EXPECT(arg.rfind("--", 0) == 0, "expected --flag, got: " + arg);
+    if (arg.rfind("--", 0) != 0) fail("expected --flag, got: " + arg);
     arg = arg.substr(2);
     std::string name, value;
     const auto eq = arg.find('=');
@@ -34,18 +52,18 @@ bool Cli::parse(int argc, const char* const* argv) {
     } else {
       name = arg;
       auto it = flags_.find(name);
-      AF_EXPECT(it != flags_.end(), "unknown flag: --" + name);
+      if (it == flags_.end()) fail("unknown flag: --" + name);
       const bool is_bool = it->second.default_value == "true" ||
                            it->second.default_value == "false";
       if (is_bool) {
         value = "true";
       } else {
-        AF_EXPECT(i + 1 < argc, "flag --" + name + " expects a value");
+        if (i + 1 >= argc) fail("flag --" + name + " expects a value");
         value = argv[++i];
       }
     }
     auto it = flags_.find(name);
-    AF_EXPECT(it != flags_.end(), "unknown flag: --" + name);
+    if (it == flags_.end()) fail("unknown flag: --" + name);
     it->second.value = value;
   }
   return true;
@@ -62,7 +80,7 @@ std::int64_t Cli::get_int(const std::string& name) const {
   try {
     return std::stoll(v);
   } catch (const std::exception&) {
-    throw PreconditionError("flag --" + name + " is not an integer: " + v);
+    fail("flag --" + name + " is not an integer: " + v);
   }
 }
 
@@ -71,7 +89,7 @@ double Cli::get_double(const std::string& name) const {
   try {
     return std::stod(v);
   } catch (const std::exception&) {
-    throw PreconditionError("flag --" + name + " is not a number: " + v);
+    fail("flag --" + name + " is not a number: " + v);
   }
 }
 
@@ -79,7 +97,7 @@ bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw PreconditionError("flag --" + name + " is not a boolean: " + v);
+  fail("flag --" + name + " is not a boolean: " + v);
 }
 
 std::string Cli::usage() const {

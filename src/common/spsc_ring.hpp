@@ -132,6 +132,18 @@ class SpscRing {
     return true;
   }
 
+  /// The element `offset` places behind the head, without popping it; the
+  /// caller knows that many are queued (a consumer looking ahead within a
+  /// batch it has sized). Consumer-side operation.
+  T peek(std::size_t offset) {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    if (queued(head) <= offset) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+      AF_ASSERT(queued(head) > offset, "SpscRing::peek past the tail");
+    }
+    return buffer_[advance(head_slot_, offset)];
+  }
+
   /// Discards everything queued, returning how many elements were thrown
   /// away. Consumer-side operation (it advances `head_`).
   std::size_t discard_all() {

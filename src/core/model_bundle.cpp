@@ -141,7 +141,7 @@ std::optional<ScrollEstimate> ModelBundle::probe_direction(
   // with the window even when the timing state does not.
   const bool changed = cache.refresh(windows);
   if (!changed && cache.probe_verdict_no_emit()) return std::nullopt;
-  const SegmentTiming timing = cache.timing(windows);
+  const SegmentTiming timing = cache.timing(windows, view.energy);
   if (router_.route_timing(timing) != GestureCategory::kTrackAimed) {
     cache.record_probe_verdict_no_emit(true);
     return std::nullopt;

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/prefetch.hpp"
 #include "common/spsc_ring.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +33,12 @@ std::uint64_t host_now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// How many records ahead of the one being processed drain_queue()
+/// prefetches a lane's hot range. One ahead is too late for the lines to
+/// arrive; the lines of a record one ahead are then ready to name the
+/// heap lines behind them.
+constexpr std::size_t kPrefetchDistance = 2;
 
 /// A lane's faulted flag is written by its consumer and polled by its
 /// feeder (see FeedSlot).
@@ -152,6 +159,13 @@ MultiSessionHost::Lane::Lane(std::size_t idx,
   session->observability().set_stream_id(idx);
 }
 
+void MultiSessionHost::Lane::prefetch_hot() const {
+  const auto* begin = reinterpret_cast<const char*>(&processed);
+  const auto* end =
+      reinterpret_cast<const char*>(&session) + Session::kHotBytes;
+  common::prefetch_range(begin, static_cast<std::size_t>(end - begin));
+}
+
 // --------------------------------------------------------- construction
 
 MultiSessionHost::MultiSessionHost(std::shared_ptr<const ModelBundle> bundle,
@@ -213,12 +227,30 @@ MultiSessionHost::~MultiSessionHost() {
 // ------------------------------------------------------- worker / drain
 
 std::size_t MultiSessionHost::drain_queue(Shard& shard) const {
-  const std::size_t batch = shard.queue.size() / shard.pop_record.size();
+  const std::size_t width = shard.pop_record.size();
+  const std::size_t batch = shard.queue.size() / width;
   if (batch == 0) return 0;
   shard.high_water = std::max(shard.high_water, batch);
   ShardStats& stats = shard.stats;
   const std::uint64_t t0 = host_now_ns();
+  // Lookahead: the lane index of the record `ahead` places behind the
+  // head (queued: `ahead` < the batch's remainder).
+  const auto lane_ahead = [&](std::size_t ahead) {
+    return static_cast<std::size_t>(shard.queue.peek(ahead * width));
+  };
   for (std::size_t k = 0; k < batch; ++k) {
+    // With 1,000+ lanes a shard, every frame lands on a lane whose state
+    // has left the cache. Two records ahead, start loading that lane's hot
+    // range (an address computation: the Lane outlives retirement). One
+    // record ahead, the hot block has arrived, so the session can name the
+    // heap lines its next frame touches; a retired lane has no session.
+    if (k + kPrefetchDistance < batch)
+      lanes_[lane_ahead(kPrefetchDistance)]->prefetch_hot();
+    if (k + 1 < batch) {
+      const std::size_t next = lane_ahead(1);
+      if (!feed_slots_[next].retired)
+        lanes_[next]->session->prefetch_next_frame();
+    }
     shard.queue.try_pop(shard.pop_record);  // cannot fail: `batch` queued
     const std::uint64_t* record = shard.pop_record.data();
     // One queue-wait sample per batch: its first (oldest) record, which

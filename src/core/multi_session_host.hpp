@@ -293,16 +293,23 @@ class MultiSessionHost {
   };
 
   /// Consumer-side lane state: owned by the lane's shard worker (or the
-  /// caller thread in inline mode / at quiescence).
-  struct Lane {
+  /// caller thread in inline mode / at quiescence). Line-aligned, with what
+  /// every frame touches first: `processed`, the sink push_frame() checks
+  /// and the session, whose hot block opens the object, so the drain loop
+  /// prefetches one contiguous range per lane (prefetch_hot()).
+  struct alignas(64) Lane {
     Lane(std::size_t index, std::shared_ptr<const ModelBundle> bundle,
          FaultPolicy policy);
 
+    /// Hints the lines from `processed` through the session's hot block.
+    /// Touches no lane state, so it is safe on a retired lane.
+    void prefetch_hot() const;
+
     const std::size_t index;
+    std::uint64_t processed = 0;  ///< Frames classified successfully.
+    Session::EventCallback sink;  ///< Appends to `events`; built once.
     std::optional<Session> session;
     std::vector<SessionEvent> events;
-    Session::EventCallback sink;  ///< Appends to `events`; built once.
-    std::uint64_t processed = 0;  ///< Frames classified successfully.
     std::uint64_t dropped = 0;    ///< Queued records discarded after a fault.
     std::string fault;            ///< what() of the quarantining exception.
 
@@ -317,7 +324,9 @@ class MultiSessionHost {
   /// into its lane's session, or discards and counts it when the lane is
   /// faulted or retired. Returns the number of records popped. The caller
   /// must own the shard's consumer side. A lane fault dumps the session's
-  /// flight recorder and quarantines the lane.
+  /// flight recorder and quarantines the lane. Looks ahead within the
+  /// batch: two records ahead it prefetches that lane's hot range, one
+  /// record ahead the heap lines its next frame touches (DESIGN.md §19).
   std::size_t drain_queue(Shard& shard) const;
 
   void worker_loop(Shard& shard);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/prefetch.hpp"
 #include "features/workspace.hpp"
 
 namespace airfinger::core {
@@ -49,19 +50,31 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
                  FaultPolicy policy)
     : bundle_(std::move(bundle)),
       policy_(policy),
-      segmenter_(session_segmenter_config(bundle_)) {
+      calibration_(session_segmenter_config(bundle_)) {
   const DataProcessor processor(config().processing);
+  const std::size_t channels = config().channels;
   const std::size_t w = processor.window_samples(config().sample_rate_hz);
-  for (std::size_t c = 0; c < config().channels; ++c)
-    sbc_.emplace_back(w);
+  AF_EXPECT(w <= std::numeric_limits<std::uint32_t>::max(),
+            "SBC window must fit 32 bits");
+  hot_.channels = static_cast<std::uint32_t>(channels);
+  hot_.sbc_window = static_cast<std::uint32_t>(w);
+  const std::size_t ring_size = w * channels + calibration_.smooth_samples();
+  if (ring_size > HotBlock::kRingCapacity) {
+    ring_spill_.assign(ring_size, 0.0);
+    hot_.spill = ring_spill_.data();
+  }
+  hot_.history = calibration_.history();
+  hot_.seg = calibration_.restart();
+  hot_.frames_total = obs_.registry().counter_cell(obs_.frames);
+  obs_.bind_sampler(hot_.sampler);
+  hot_.policy_enabled = policy_.enabled;
   open_view_.sample_rate_hz = config().sample_rate_hz;
-  open_view_.delta_rss2.resize(config().channels);
-  timing_cache_.configure(config().channels, config().sample_rate_hz,
+  open_view_.delta_rss2.resize(channels);
+  timing_cache_.configure(channels, config().sample_rate_hz,
                           bundle_->probe_timing_config());
-  last_sample_.assign(config().channels,
-                      std::numeric_limits<double>::quiet_NaN());
-  same_run_.assign(config().channels, 0);
-  sat_run_.assign(config().channels, 0);
+  last_sample_.assign(channels, std::numeric_limits<double>::quiet_NaN());
+  same_run_.assign(channels, 0);
+  sat_run_.assign(channels, 0);
   if (policy_.enabled && policy_.artifact.detect) {
     const ArtifactPolicy& ap = policy_.artifact;
     AF_EXPECT(ap.repair_z > 0.0, "artifact repair_z must be positive");
@@ -73,13 +86,67 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
     AF_EXPECT(ap.impulsive_sustain >= 1 && ap.drift_sustain >= 1 &&
                   ap.flicker_sustain >= 1,
               "artifact sustain windows must be >= 1");
-    detectors_.reserve(config().channels);
-    for (std::size_t c = 0; c < config().channels; ++c)
+    detectors_.reserve(channels);
+    for (std::size_t c = 0; c < channels; ++c)
       detectors_.emplace_back(ap.detector);
-    hold_frames_.assign(ap.repair_limit * config().channels, 0.0);
-    hold_flag_.assign(config().channels, 0);
+    hold_frames_.assign(ap.repair_limit * channels, 0.0);
+    hold_flag_.assign(channels, 0);
     repair_ring_.assign(ap.crackle_repairs, 0);
+    hot_.artifact_active = true;
   }
+}
+
+Session::Session(Session&& other) noexcept
+    : hot_(other.hot_),
+      bundle_(std::move(other.bundle_)),
+      policy_(other.policy_),
+      ring_spill_(std::move(other.ring_spill_)),
+      calibration_(std::move(other.calibration_)),
+      open_view_(std::move(other.open_view_)),
+      timing_cache_(std::move(other.timing_cache_)),
+      obs_(std::move(other.obs_)),
+      clean_run_(other.clean_run_),
+      last_sample_(std::move(other.last_sample_)),
+      same_run_(std::move(other.same_run_)),
+      sat_run_(std::move(other.sat_run_)),
+      detectors_(std::move(other.detectors_)),
+      hold_frames_(std::move(other.hold_frames_)),
+      hold_flag_(std::move(other.hold_flag_)),
+      hold_len_(other.hold_len_),
+      repair_ring_(std::move(other.repair_ring_)),
+      repair_ring_head_(other.repair_ring_head_),
+      repairs_total_(other.repairs_total_),
+      impulsive_run_(other.impulsive_run_),
+      drift_run_(other.drift_run_),
+      flicker_run_(other.flicker_run_) {
+  // The heap pointers in hot_ moved with their buffers; only the sampler,
+  // which lives in hot_ itself, has a new address.
+  obs_.bind_sampler(hot_.sampler);
+}
+
+void Session::prefetch_next_frame() const {
+  common::prefetch(hot_.history + hot_.seg.history_slot);
+  common::prefetch(hot_.frames_total);
+  if (hot_.open_view_valid) {
+    for (const auto& ch : open_view_.delta_rss2)
+      common::prefetch(ch.data() + ch.size());
+    common::prefetch(open_view_.energy.data() + open_view_.energy.size());
+    if (!hot_.early_direction_sent) timing_cache_.prefetch_append();
+  }
+  if (hot_.artifact_active)
+    common::prefetch_range(
+        detectors_.data(),
+        detectors_.size() * sizeof(sensor::ChannelArtifactDetector));
+}
+
+void Session::restart_dsp() {
+  double* const r = ring();
+  std::fill(r, r + std::size_t{hot_.sbc_window} * hot_.channels, 0.0);
+  hot_.sbc_head = 0;
+  hot_.sbc_seen = 0;
+  hot_.seg = calibration_.restart();
+  double* const smooth = r + std::size_t{hot_.sbc_window} * hot_.channels;
+  std::fill(smooth, smooth + hot_.seg.smooth_len, 0.0);
 }
 
 void Session::handle_segment(const dsp::Segment& segment,
@@ -92,7 +159,7 @@ void Session::handle_segment(const dsp::Segment& segment,
   // closes until recalibration has reset the segmenter. Trimming the view
   // therefore yields the exact window with no copy.
   const std::size_t len = segment.length();
-  AF_ASSERT(open_view_valid_ && segment.begin == open_segment_begin_ &&
+  AF_ASSERT(hot_.open_view_valid && segment.begin == hot_.open_segment_begin &&
                 len <= open_view_.energy.size(),
             "closed segment is not a prefix of the open-segment view");
   GestureEvent event;
@@ -103,16 +170,16 @@ void Session::handle_segment(const dsp::Segment& segment,
     BoundWorkspace workspace(obs_);
     event = bundle_->decide(open_view_, dsp::Segment{0, len}, workspace.get());
   }
-  open_view_valid_ = false;
+  hot_.open_view_valid = false;
   event.time_s = now();
   event.segment_begin = segment.begin;
   event.segment_end = segment.end;
   obs_.registry().inc(obs_.segments_closed);
-  obs_.record(obs::PipelineEvent::Kind::kSegmentClose, frames_,
+  obs_.record(obs::PipelineEvent::Kind::kSegmentClose, hot_.frames,
               segment.begin, segment.end);
   if (event.type == GestureEvent::Type::kNonGesture)
     obs_.record(
-        obs::PipelineEvent::Kind::kSegmentReject, frames_, segment.begin,
+        obs::PipelineEvent::Kind::kSegmentReject, hot_.frames, segment.begin,
         segment.end,
         static_cast<std::uint8_t>(obs::PipelineEvent::Reject::kFiltered));
   callback(event);
@@ -149,7 +216,7 @@ void Session::note_emission(const GestureEvent& event) {
       r.inc(obs_.events_rejected);
       break;
   }
-  obs_.record(obs::PipelineEvent::Kind::kEmit, frames_, event.segment_begin,
+  obs_.record(obs::PipelineEvent::Kind::kEmit, hot_.frames, event.segment_begin,
               event.segment_end, static_cast<std::uint8_t>(event.type));
 }
 
@@ -192,38 +259,37 @@ bool Session::scan_frame(std::span<const double> frame) {
 }
 
 void Session::enter_quarantine() {
-  quarantined_ = true;
+  hot_.quarantined = true;
   clean_run_ = 0;
   obs_.registry().inc(obs_.quarantines);
   obs_.registry().set(obs_.quarantined, 1.0);
-  obs_.record(obs::PipelineEvent::Kind::kQuarantineEnter, frames_);
+  obs_.record(obs::PipelineEvent::Kind::kQuarantineEnter, hot_.frames);
   // Whatever the segmenter had open was built on corrupt samples: drop it.
   // The segmenter itself is re-calibrated from scratch on recovery.
-  if (segmenter_.in_gesture()) {
+  if (hot_.seg.in_gesture) {
     obs_.registry().inc(obs_.segments_dropped);
     obs_.record(
-        obs::PipelineEvent::Kind::kSegmentReject, frames_,
-        open_segment_begin_, frames_,
+        obs::PipelineEvent::Kind::kSegmentReject, hot_.frames,
+        hot_.open_segment_begin, hot_.frames,
         static_cast<std::uint8_t>(obs::PipelineEvent::Reject::kQuarantined));
   }
-  open_view_valid_ = false;
-  early_direction_sent_ = false;
+  hot_.open_view_valid = false;
+  hot_.early_direction_sent = false;
 }
 
 void Session::recalibrate() {
-  quarantined_ = false;
+  hot_.quarantined = false;
   clean_run_ = 0;
   obs_.registry().inc(obs_.recalibrations);
   obs_.registry().set(obs_.quarantined, 0.0);
-  obs_.record(obs::PipelineEvent::Kind::kQuarantineExit, frames_);
-  for (auto& s : sbc_) s.reset();
-  segmenter_.reset();
+  obs_.record(obs::PipelineEvent::Kind::kQuarantineExit, hot_.frames);
+  restart_dsp();
   // Re-base: the segmenter restarts at position 0 while the stream clock
-  // (frames_) keeps running, so segmenter-space indices are shifted by
-  // segment_offset_ from here on.
-  segment_offset_ = frames_;
-  open_view_valid_ = false;
-  early_direction_sent_ = false;
+  // (hot_.frames) keeps running, so segmenter-space indices are shifted by
+  // hot_.segment_offset from here on.
+  hot_.segment_offset = hot_.frames;
+  hot_.open_view_valid = false;
+  hot_.early_direction_sent = false;
   timing_cache_.begin_segment();
   // Recalibration is a fresh start for the artifact layer too: the
   // adaptive statistics re-learn the post-fault signal (warmup keeps them
@@ -234,25 +300,25 @@ void Session::recalibrate() {
 
 void Session::push_frame(std::span<const double> frame,
                          const EventCallback& callback) {
-  AF_EXPECT(frame.size() == config().channels,
+  AF_EXPECT(frame.size() == hot_.channels,
             "frame carries " + std::to_string(frame.size()) +
                 " samples but the session expects " +
-                std::to_string(config().channels) + " channels");
+                std::to_string(hot_.channels) + " channels");
   AF_EXPECT(static_cast<bool>(callback), "event callback is required");
 
-  if (policy_.enabled) {
+  if (hot_.policy_enabled) {
     const bool fault_now = scan_frame(frame);
-    if (!quarantined_ && fault_now) {
+    if (!hot_.quarantined && fault_now) {
       // A burst fault while frames are held back: the hold was corruption
       // after all — drop it with the stream, then quarantine.
       if (hold_len_ > 0) drop_hold();
       enter_quarantine();
     }
-    if (quarantined_) {
+    if (hot_.quarantined) {
       // Consume the frame (the stream clock keeps running) but feed
       // nothing downstream; recover after a sustained clean run.
-      ++frames_;
-      obs_.registry().inc(obs_.frames);
+      ++hot_.frames;
+      count_frame();
       obs_.registry().inc(obs_.quarantined_frames);
       if (fault_now)
         clean_run_ = 0;
@@ -265,14 +331,14 @@ void Session::push_frame(std::span<const double> frame,
       if (!std::isfinite(frame[c]))
         throw StreamFaultError(
             "non-finite sample on channel " + std::to_string(c) +
-            " at frame " + std::to_string(frames_) +
+            " at frame " + std::to_string(hot_.frames) +
             " (enable FaultPolicy for degraded-mode handling)");
   }
   // Every validated frame is accounted here exactly once, whether it is
   // fed now, held for repair, or later dropped by an escalation.
-  obs_.registry().inc(obs_.frames);
+  count_frame();
 
-  if (artifact_active() && artifact_gate(frame, callback)) return;
+  if (hot_.artifact_active && artifact_gate(frame, callback)) return;
   ingest(frame, callback);
 }
 
@@ -356,10 +422,10 @@ bool Session::artifact_gate(std::span<const double> frame,
   }
   const ArtifactClass cls =
       settled ? ArtifactClass::kStep : ArtifactClass::kCrackle;
-  note_artifact(cls, frames_, frames_ + hold_len_ + 1);
+  note_artifact(cls, hot_.frames, hot_.frames + hold_len_ + 1);
   obs_.registry().inc(obs_.artifact_quarantines);
   drop_hold();
-  ++frames_;
+  ++hot_.frames;
   obs_.registry().inc(obs_.quarantined_frames);
   enter_quarantine();
   return true;
@@ -385,11 +451,11 @@ void Session::repair_hold(std::span<const double> frame,
   }
   obs_.registry().inc(obs_.artifact_impulse_repaired);
   obs_.registry().inc(obs_.artifact_repaired_frames, hold_len_);
-  note_artifact(ArtifactClass::kImpulse, frames_, frames_ + hold_len_);
+  note_artifact(ArtifactClass::kImpulse, hot_.frames, hot_.frames + hold_len_);
 
   // Crackle rate monitor: too many repair episodes inside a sliding
   // window mean the "isolated" impulses are a train.
-  const std::uint64_t pos = frames_;
+  const std::uint64_t pos = hot_.frames;
   repair_ring_[repair_ring_head_] = pos;
   repair_ring_head_ = (repair_ring_head_ + 1) % repair_ring_.size();
   ++repairs_total_;
@@ -404,12 +470,12 @@ void Session::repair_hold(std::span<const double> frame,
     ingest({hold_frames_.data() + j * channels, channels}, callback);
   ingest(frame, callback);
 
-  if (crackling && !quarantined_) {
+  if (crackling && !hot_.quarantined) {
     note_artifact(ArtifactClass::kCrackle,
                   pos >= policy_.artifact.crackle_window
                       ? pos - policy_.artifact.crackle_window
                       : 0,
-                  frames_);
+                  hot_.frames);
     obs_.registry().inc(obs_.artifact_quarantines);
     enter_quarantine();
   }
@@ -420,7 +486,7 @@ void Session::drop_hold() {
   // The held frames were already counted in af_frames_total at push time;
   // consume them as degraded and advance the stream clock past them.
   obs_.registry().inc(obs_.quarantined_frames, hold_len_);
-  frames_ += hold_len_;
+  hot_.frames += hold_len_;
   hold_len_ = 0;
   std::fill(hold_flag_.begin(), hold_flag_.end(), 0);
 }
@@ -444,7 +510,7 @@ void Session::note_artifact(ArtifactClass cls, std::uint64_t begin,
       r.inc(obs_.artifact_flicker_detected);
       break;
   }
-  obs_.record(obs::PipelineEvent::Kind::kArtifact, frames_, begin, end,
+  obs_.record(obs::PipelineEvent::Kind::kArtifact, hot_.frames, begin, end,
               static_cast<std::uint8_t>(cls));
 }
 
@@ -490,7 +556,7 @@ bool Session::artifact_accept(std::span<const double> frame) {
   } else {
     return false;
   }
-  note_artifact(cls, frames_ >= run ? frames_ - run : 0, frames_ + 1);
+  note_artifact(cls, hot_.frames >= run ? hot_.frames - run : 0, hot_.frames + 1);
   obs_.registry().inc(obs_.artifact_quarantines);
   impulsive_run_ = drift_run_ = flicker_run_ = 0;
   enter_quarantine();
@@ -501,14 +567,14 @@ void Session::ingest(std::span<const double> frame,
                      const EventCallback& callback) {
   // Reachable while quarantined only when a repair released held frames
   // and an escalation fired mid-release: consume the remainder degraded.
-  if (quarantined_) {
-    ++frames_;
+  if (hot_.quarantined) {
+    ++hot_.frames;
     obs_.registry().inc(obs_.quarantined_frames);
     clean_run_ = 0;
     return;
   }
-  if (artifact_active() && artifact_accept(frame)) {
-    ++frames_;
+  if (hot_.artifact_active && artifact_accept(frame)) {
+    ++hot_.frames;
     obs_.registry().inc(obs_.quarantined_frames);
     return;
   }
@@ -517,55 +583,62 @@ void Session::ingest(std::span<const double> frame,
   // 1-in-N on a deterministic counter so steady-state clock reads stay
   // within the tracing overhead budget; segment-level spans always record.
   obs::PipelineObservability* const frame_obs =
-      obs_.sample_frame() ? &obs_ : nullptr;
+      hot_.sampler.next() ? &obs_ : nullptr;
 
   // This frame's ΔRSS² per channel: kept only here unless a segment is
   // open, in which case it is appended to the open-segment view below.
   double deltas[kMaxTimingChannels] = {};
   const std::size_t channels = frame.size();
   double energy = 0.0;
-  const bool was_open = segmenter_.in_gesture();
+  const bool was_open = hot_.seg.in_gesture;
   std::optional<dsp::Segment> completed;
   {
     // Stage span: SBC update + segmenter advance. At most one span per
     // frame, so an idle stream costs at most two clock reads per sampling
     // period.
     obs::Span span(frame_obs, obs::Stage::kIngest);
+    double* const r = ring();
+    double* const delay = r + std::size_t{hot_.sbc_head} * channels;
+    const bool primed = hot_.sbc_seen == hot_.sbc_window;
     for (std::size_t c = 0; c < channels; ++c) {
-      deltas[c] = sbc_[c].push(frame[c]);
+      deltas[c] = dsp::sbc_step(delay[c], frame[c], primed);
       energy += deltas[c];
     }
-    completed = segmenter_.push(energy);
+    if (++hot_.sbc_head == hot_.sbc_window) hot_.sbc_head = 0;
+    if (!primed) ++hot_.sbc_seen;
+    completed = dsp::segmenter_push(
+        hot_.seg, r + std::size_t{hot_.sbc_window} * channels, hot_.history,
+        calibration_, energy);
   }
-  ++frames_;
+  ++hot_.frames;
   // Segmenter indices are relative to the last recalibration; events use
   // absolute stream indices.
   if (completed) {
-    completed->begin += segment_offset_;
-    completed->end += segment_offset_;
+    completed->begin += hot_.segment_offset;
+    completed->end += hot_.segment_offset;
   }
 
-  if (!was_open && segmenter_.in_gesture()) {
-    open_segment_begin_ = frames_ - 1;
-    early_direction_sent_ = false;
+  if (!was_open && hot_.seg.in_gesture) {
+    hot_.open_segment_begin = hot_.frames - 1;
+    hot_.early_direction_sent = false;
     for (auto& ch : open_view_.delta_rss2) ch.clear();
     open_view_.energy.clear();
-    open_view_valid_ = true;
+    hot_.open_view_valid = true;
     timing_cache_.begin_segment();
     obs_.registry().inc(obs_.segments_opened);
-    obs_.record(obs::PipelineEvent::Kind::kSegmentOpen, frames_,
-                open_segment_begin_, frames_);
+    obs_.record(obs::PipelineEvent::Kind::kSegmentOpen, hot_.frames,
+                hot_.open_segment_begin, hot_.frames);
   }
 
   // Maintain the open-segment view incrementally: O(channels) per frame
   // instead of an O(channels · length) copy per probe.
-  if (open_view_valid_ && (was_open || segmenter_.in_gesture())) {
+  if (hot_.open_view_valid && (was_open || hot_.seg.in_gesture)) {
     for (std::size_t c = 0; c < channels; ++c)
       open_view_.delta_rss2[c].push_back(deltas[c]);
     open_view_.energy.push_back(energy);
     // Feed the probe's incremental timing analysis; once the early verdict
     // is out no probe will read it again this segment.
-    if (!early_direction_sent_) {
+    if (!hot_.early_direction_sent) {
       obs::Span span(frame_obs, obs::Stage::kTimingCache);
       timing_cache_.append({deltas, channels});
     }
@@ -574,12 +647,12 @@ void Session::ingest(std::span<const double> frame,
   // Early scroll-direction verdict: once the open segment is longer than
   // I_g and the router already sees an ordered rise, report direction
   // without waiting for the gesture to finish.
-  if (segmenter_.in_gesture() && !early_direction_sent_) {
-    const std::size_t open_len = frames_ - open_segment_begin_;
+  if (hot_.seg.in_gesture && !hot_.early_direction_sent) {
+    const std::size_t open_len = hot_.frames - hot_.open_segment_begin;
     const auto ig_samples = static_cast<std::size_t>(
         config().router.ig_threshold_s * config().sample_rate_hz);
     if (open_len > 2 * ig_samples + 2) {
-      AF_ASSERT(open_view_valid_ &&
+      AF_ASSERT(hot_.open_view_valid &&
                     open_view_.energy.size() == open_len,
                 "open-segment view out of sync with the segmenter");
       const dsp::Segment local{0, open_len};
@@ -593,10 +666,10 @@ void Session::ingest(std::span<const double> frame,
         GestureEvent event;
         event.type = GestureEvent::Type::kScrollDirection;
         event.time_s = now();
-        event.segment_begin = open_segment_begin_;
-        event.segment_end = frames_;
+        event.segment_begin = hot_.open_segment_begin;
+        event.segment_end = hot_.frames;
         event.scroll = *est;
-        early_direction_sent_ = true;
+        hot_.early_direction_sent = true;
         callback(event);
         note_emission(event);
       }
@@ -606,15 +679,15 @@ void Session::ingest(std::span<const double> frame,
   if (completed) handle_segment(*completed, callback);
   // The segmenter may abandon an open segment without completing it (too
   // short): drop the maintained view with it.
-  if (!segmenter_.in_gesture()) {
-    if (was_open && !completed && open_view_valid_) {
+  if (!hot_.seg.in_gesture) {
+    if (was_open && !completed && hot_.open_view_valid) {
       obs_.registry().inc(obs_.segments_abandoned);
       obs_.record(
-          obs::PipelineEvent::Kind::kSegmentReject, frames_,
-          open_segment_begin_, frames_,
+          obs::PipelineEvent::Kind::kSegmentReject, hot_.frames,
+          hot_.open_segment_begin, hot_.frames,
           static_cast<std::uint8_t>(obs::PipelineEvent::Reject::kTooShort));
     }
-    open_view_valid_ = false;
+    hot_.open_view_valid = false;
   }
 }
 
@@ -622,32 +695,31 @@ void Session::finish(const EventCallback& callback) {
   AF_EXPECT(static_cast<bool>(callback), "event callback is required");
   // A quarantined stream ends without trusting its pre-fault open segment
   // (already counted in segments_dropped when quarantine was entered).
-  if (quarantined_) return;
+  if (hot_.quarantined) return;
   // A hold pending at end of stream never found its clean resume sample:
   // there is nothing to interpolate toward, so the suspect tail is dropped
   // as degraded rather than fed raw.
   if (hold_len_ > 0) drop_hold();
-  if (auto open = segmenter_.flush()) {
-    open->begin += segment_offset_;
-    open->end += segment_offset_;
+  if (auto open = dsp::segmenter_flush(hot_.seg)) {
+    open->begin += hot_.segment_offset;
+    open->end += hot_.segment_offset;
     handle_segment(*open, callback);
   }
 }
 
 void Session::reset() {
-  for (auto& s : sbc_) s.reset();
-  segmenter_.reset();
-  frames_ = 0;
-  early_direction_sent_ = false;
-  open_segment_begin_ = 0;
+  restart_dsp();
+  hot_.frames = 0;
+  hot_.early_direction_sent = false;
+  hot_.open_segment_begin = 0;
   for (auto& ch : open_view_.delta_rss2) ch.clear();
   open_view_.energy.clear();
-  open_view_valid_ = false;
+  hot_.open_view_valid = false;
   timing_cache_.begin_segment();
   obs_.reset_values();
-  quarantined_ = false;
+  hot_.quarantined = false;
   clean_run_ = 0;
-  segment_offset_ = 0;
+  hot_.segment_offset = 0;
   std::fill(last_sample_.begin(), last_sample_.end(),
             std::numeric_limits<double>::quiet_NaN());
   std::fill(same_run_.begin(), same_run_.end(), 0u);

@@ -1,9 +1,10 @@
 // Per-stream streaming state over a shared immutable ModelBundle.
 //
 // A Session owns everything that changes as frames arrive from one sensor
-// stream: the per-channel SBC delay lines, the dynamic-threshold segmenter
+// stream: the SBC delay samples, the dynamic-threshold segmenter state and
 // calibration, the ΔRSS² of the currently open segment, and that segment's
-// early-direction bookkeeping. It keeps no ΔRSS² between segments: every
+// early-direction bookkeeping. What an idle frame touches is packed into a
+// hot block at the front of the object (DESIGN.md §19). It keeps no ΔRSS² between segments: every
 // decision reads only the open segment. Construction from a
 // `shared_ptr<const ModelBundle>` is O(1) — it allocates only the small
 // per-stream buffers and copies no forest data — so a serving host can
@@ -20,6 +21,7 @@
 
 #include "core/health.hpp"
 #include "core/model_bundle.hpp"
+#include "dsp/dynamic_threshold.hpp"
 #include "dsp/sbc.hpp"
 #include "obs/pipeline.hpp"
 
@@ -41,6 +43,11 @@ class Session {
 
   /// Same, with an explicit per-stream fault policy override.
   Session(std::shared_ptr<const ModelBundle> bundle, FaultPolicy policy);
+
+  /// Moves the stream state; the observability is re-bound to the moved
+  /// sampler (see HotBlock).
+  Session(Session&& other) noexcept;
+  Session& operator=(Session&&) = delete;
 
   const ModelBundle& bundle() const { return *bundle_; }
   const AirFingerConfig& config() const { return bundle_->config(); }
@@ -67,7 +74,7 @@ class Session {
       const sensor::MultiChannelTrace& trace);
 
   /// Samples consumed so far.
-  std::size_t frames_seen() const { return frames_; }
+  std::size_t frames_seen() const { return hot_.frames; }
 
   /// The active degraded-mode policy (see core/health.hpp).
   const FaultPolicy& policy() const { return policy_; }
@@ -86,12 +93,24 @@ class Session {
   const obs::PipelineObservability& observability() const { return obs_; }
 
   /// True while the degraded-mode policy has the segmenter quarantined.
-  bool quarantined() const { return quarantined_; }
+  bool quarantined() const { return hot_.quarantined; }
 
   /// Clears all streaming state (SBC delay lines, segmenter calibration,
   /// open-segment view, quarantine state, health counters) so the session
   /// can process an unrelated recording. The shared bundle is untouched.
   void reset();
+
+  /// Bytes of per-frame state at the front of the object: an idle frame
+  /// reads and writes only these, the calibration history slot it fills
+  /// and the af_frames_total counter (DESIGN.md §19).
+  static constexpr std::size_t kHotBytes = 304;
+
+  /// Hints the heap lines the next push_frame() touches: through the hot
+  /// block's pointers the history slot and the frame counter; while a
+  /// segment is open, the open view's and the timing cache's tails; on an
+  /// artifact lane, the detectors. An idle frame's call reads only the hot
+  /// block, so a host issues it once that block has been prefetched.
+  void prefetch_next_frame() const;
 
  private:
   /// Updates fault detectors for one frame; true when a fault fired.
@@ -103,9 +122,11 @@ class Session {
   /// releases — feeding repaired values through here is what makes an
   /// exact repair byte-identical to the uncorrupted trace.
   void ingest(std::span<const double> frame, const EventCallback& callback);
-  /// True when the policy-enabled session runs the streaming artifact
-  /// detectors (policy().artifact.detect and channels fit).
-  bool artifact_active() const { return !detectors_.empty(); }
+  /// Counts one validated frame in af_frames_total, through the hot
+  /// block's pointer to the counter (Registry::inc's saturating add).
+  void count_frame() {
+    *hot_.frames_total = obs::saturating_add(*hot_.frames_total, 1);
+  }
   /// The impulse repair gate: inspects the candidate frame against the
   /// detectors without committing it. Returns true when the frame was
   /// consumed (held, repaired-and-fed, or escalated); false hands the
@@ -135,25 +156,70 @@ class Session {
   /// Counts and trace-records one delivered GestureEvent.
   void note_emission(const GestureEvent& event);
   double now() const {
-    return static_cast<double>(frames_) / config().sample_rate_hz;
+    return static_cast<double>(hot_.frames) / config().sample_rate_hz;
   }
+  /// The inline ring, or its heap spill when the configured windows
+  /// outgrow it.
+  double* ring() { return hot_.spill ? hot_.spill : hot_.ring; }
+  /// Zeroes the SBC delay samples and restarts the segmenter (fresh
+  /// calibration, zeroed smoothing ring).
+  void restart_dsp();
 
+  /// Everything an idle frame reads or writes, packed at the front of the
+  /// object so a serving host can pull a lane's per-frame state into cache
+  /// as a few adjacent lines (DESIGN.md §19). Pointers here lead to heap
+  /// storage only, so a move keeps them valid.
+  struct HotBlock {
+    /// Inline ring capacity, in doubles: the default 3 channels × 1 SBC
+    /// sample plus the 14-sample smoothing window.
+    static constexpr std::size_t kRingCapacity = 17;
+    /// SBC delay samples, frame-major (sbc_window frames × channels), then
+    /// the segmenter's smoothing ring (seg.smooth_len values). One layout
+    /// for any configured window: `spill` holds it when it does not fit.
+    double ring[kRingCapacity] = {};
+    dsp::SegmenterState seg;
+    std::size_t frames = 0;  ///< Samples consumed (the stream clock).
+    /// Absolute sample index the segmenter's position 0 corresponds to.
+    /// 0 until the first recalibration; segmenter-space segment indices
+    /// are shifted by this before any event emission.
+    std::size_t segment_offset = 0;
+    std::size_t open_segment_begin = 0;  ///< Stream index of the open view.
+    double* spill = nullptr;             ///< ring_spill_ when in use.
+    double* history = nullptr;           ///< calibration_.history().
+    std::uint64_t* frames_total = nullptr;  ///< af_frames_total's cell.
+    obs::FrameSampler sampler;  ///< Bound into obs_ (per-frame spans).
+    std::uint32_t channels = 0;
+    std::uint32_t sbc_window = 1;  ///< w, in frames.
+    std::uint32_t sbc_head = 0;    ///< Ring frame the next sample replaces.
+    std::uint32_t sbc_seen = 0;    ///< Frames seen, saturating at w.
+    /// Early-direction verdict already sent for the open segment.
+    bool early_direction_sent = false;
+    /// open_view_ holds the open segment (see open_view_).
+    bool open_view_valid = false;
+    bool quarantined = false;      ///< Degraded mode holds the segmenter.
+    bool policy_enabled = false;   ///< policy_.enabled.
+    bool artifact_active = false;  ///< The artifact detectors run.
+  };
+  static_assert(sizeof(HotBlock) == kHotBytes,
+                "the hot block grows only on purpose: re-measure the host "
+                "prefetch when it does");
+
+  HotBlock hot_;
   std::shared_ptr<const ModelBundle> bundle_;
   FaultPolicy policy_;
-  std::vector<dsp::SquareBasedCalculator> sbc_;
-  dsp::DynamicThresholdSegmenter segmenter_;
-  std::size_t frames_ = 0;
-  /// Early-direction bookkeeping for the currently open segment.
-  bool early_direction_sent_ = false;
-  std::size_t open_segment_begin_ = 0;
+  /// Heap home of the hot block's ring when channels × w plus the
+  /// smoothing window exceed HotBlock::kRingCapacity; empty otherwise.
+  std::vector<double> ring_spill_;
+  /// The segmenter's recalibration side: config, history ring, Otsu
+  /// scratch (touched once every update_interval frames).
+  dsp::SegmenterCalibration calibration_;
   /// The ΔRSS² of the currently open segment in local indices, appended
   /// one frame at a time (O(channels) per frame). It is the only ΔRSS²
   /// the session keeps: the probe reads all of it, and a closing segment,
   /// which opened on the view's first frame, is decided on a prefix of
   /// it. Valid from segment open until the segment is decided or
-  /// abandoned; spans [open_segment_begin_, frames_) while valid.
+  /// abandoned; spans [open_segment_begin, frames) while valid.
   ProcessedTrace open_view_;
-  bool open_view_valid_ = false;
   /// Incremental timing analysis over the open segment: fed one frame at a
   /// time so each early-direction probe costs amortized O(n) instead of
   /// recomputing segment_timing() from scratch. Configured from the
@@ -164,13 +230,8 @@ class Session {
   /// emissions are bit-identical with instrumentation on or off.
   obs::PipelineObservability obs_;
   // ---- degraded-mode state (core/health.hpp; inert when policy_ is off).
-  bool quarantined_ = false;
   /// Clean frames seen in a row while quarantined (recovery progress).
   std::size_t clean_run_ = 0;
-  /// Absolute sample index the segmenter's position 0 corresponds to.
-  /// 0 until the first recalibration; segmenter-space segment indices are
-  /// shifted by this before any event emission.
-  std::size_t segment_offset_ = 0;
   /// Per-channel fault detectors: last sample value and the lengths of the
   /// current identical-value and saturated runs. Fixed-size, allocated at
   /// construction — the per-frame scan touches no heap.

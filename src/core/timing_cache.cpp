@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "common/error.hpp"
+#include "common/prefetch.hpp"
 #include "common/reduce.hpp"
 #include "common/stats.hpp"
 #include "dsp/filters.hpp"
@@ -71,7 +72,6 @@ void OpenSegmentTiming::begin_segment() {
     ch.run = 0;
     ch.active = false;
   }
-  envelope_raw_.clear();
   envelope_.clear();
   esum_.clear();
   a_.clear();
@@ -104,7 +104,6 @@ void OpenSegmentTiming::append(std::span<const double> deltas) {
   AF_EXPECT(configured(), "timing cache must be configured before use");
   AF_EXPECT(deltas.size() == channel_count_,
             "frame arity must match the configured channel count");
-  double summed = 0.0;
   for (std::size_t c = 0; c < channel_count_; ++c) {
     const double v = deltas[c];
     Channel& ch = channels_[c];
@@ -113,10 +112,17 @@ void OpenSegmentTiming::append(std::span<const double> deltas) {
     ch.weighted += static_cast<double>(n_) * v;
     ch.sorted.insert(
         std::upper_bound(ch.sorted.begin(), ch.sorted.end(), v), v);
-    summed += v;
   }
-  envelope_raw_.push_back(summed);
   ++n_;
+}
+
+void OpenSegmentTiming::prefetch_append() const {
+  common::prefetch_range(channels_.data(),
+                         channels_.size() * sizeof(Channel));
+  // The insert shifts the sorted tail; its last line is the one written
+  // whatever the rank.
+  for (const Channel& ch : channels_)
+    if (!ch.sorted.empty()) common::prefetch(&ch.sorted.back());
 }
 
 void OpenSegmentTiming::advance_moving_average(std::span<const double> x,
@@ -317,12 +323,15 @@ bool OpenSegmentTiming::refresh(
   return changed;
 }
 
-void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
+void OpenSegmentTiming::envelope_stats_incremental(
+    std::span<const double> energy, SegmentTiming& out) {
   if (have_env_stats_ && env_stats_n_ == n_) {
     out.envelope_peaks = env_peaks_memo_;
     return;
   }
-  advance_moving_average(envelope_raw_, env_smooth_, envelope_);
+  AF_EXPECT(energy.size() == n_,
+            "energy must cover exactly the appended samples");
+  advance_moving_average(energy, env_smooth_, envelope_);
   const std::size_t half_env = env_smooth_ / 2;
   const std::size_t frontier = n_ > half_env ? n_ - half_env : 0;
 
@@ -376,7 +385,8 @@ void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
 }
 
 SegmentTiming OpenSegmentTiming::timing(
-    std::span<const std::span<const double>> windows) {
+    std::span<const std::span<const double>> windows,
+    std::span<const double> energy) {
   refresh(windows);
 
   SegmentTiming out;
@@ -398,7 +408,7 @@ SegmentTiming OpenSegmentTiming::timing(
         out.tau_s[static_cast<std::size_t>(out.first_active)];
   }
 
-  if (n_ > 0) envelope_stats_incremental(out);
+  if (n_ > 0) envelope_stats_incremental(energy, out);
   if (n_ >= 8) {
     out.asymmetry_start = asym_start_;
     out.asymmetry_end = asym_end_;

@@ -81,9 +81,15 @@ class OpenSegmentTiming {
 
   /// Timing analysis of the full appended window; `windows[c]` must be
   /// channel c's ΔRSS² over exactly the appended samples (the open-segment
-  /// view the deltas came from). Bit-identical to
+  /// view the deltas came from) and `energy` their per-sample channel sum,
+  /// added in channel order from 0.0 (the view's energy). Bit-identical to
   /// segment_timing(windows, sample_rate_hz, config, arena).
-  SegmentTiming timing(std::span<const std::span<const double>> windows);
+  SegmentTiming timing(std::span<const std::span<const double>> windows,
+                       std::span<const double> energy);
+
+  /// Hints the cache lines the next append() writes (MultiSessionHost
+  /// prefetches them a frame ahead).
+  void prefetch_append() const;
 
   /// Verdict memo for the early-direction probe: true iff the last probe
   /// over this segment concluded "no emission" (detect-aimed). Combined
@@ -99,8 +105,9 @@ class OpenSegmentTiming {
                                      std::vector<double>& out);
 
   /// Envelope hump count (detail::envelope_stats) with frozen-prefix peak
-  /// decisions; writes out.envelope_peaks.
-  void envelope_stats_incremental(SegmentTiming& out);
+  /// decisions over the summed channel energy; writes out.envelope_peaks.
+  void envelope_stats_incremental(std::span<const double> energy,
+                                  SegmentTiming& out);
 
   struct Channel {
     double peak = 0.0;      ///< Running max of the window.
@@ -128,8 +135,7 @@ class OpenSegmentTiming {
   std::size_t peak_support_ = 1;  ///< Envelope hump support, samples.
   std::size_t n_ = 0;
   std::vector<Channel> channels_;
-  std::vector<double> envelope_raw_;  ///< Per-sample summed channel energy.
-  std::vector<double> envelope_;      ///< MA(envelope_raw_, env_smooth_).
+  std::vector<double> envelope_;      ///< MA(energy, env_smooth_).
   std::vector<double> esum_;          ///< Σ_c channels_[c].smooth.
 
   // ---- asymmetry-path state (a_smooth_ finalized frontier) -------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -40,52 +41,74 @@ double otsu_threshold(std::span<const double> x) {
 
 double otsu_threshold_hist(std::span<const double> x, int bins) {
   AF_EXPECT(bins >= 2, "otsu_threshold_hist requires bins >= 2");
-  std::vector<double> count(static_cast<std::size_t>(bins), 0.0);
+  std::vector<std::uint32_t> count(static_cast<std::size_t>(bins), 0);
   std::vector<double> value_sum(static_cast<std::size_t>(bins), 0.0);
-  return otsu_threshold_hist_with(x, bins, count, value_sum);
+  return otsu_fit_hist(x, bins, count, value_sum).threshold;
 }
 
-double otsu_threshold_hist_with(std::span<const double> x, int bins,
-                                std::span<double> count_scratch,
-                                std::span<double> value_sum_scratch) {
+OtsuFit otsu_fit_hist(std::span<const double> x, int bins,
+                      std::span<std::uint32_t> count_scratch,
+                      std::span<double> value_sum_scratch) {
   AF_EXPECT(!x.empty(), "otsu_threshold_hist requires non-empty input");
   AF_EXPECT(bins >= 2, "otsu_threshold_hist requires bins >= 2");
+  AF_EXPECT(x.size() <= std::numeric_limits<std::uint32_t>::max(),
+            "otsu_threshold_hist counts at most 2^32 - 1 values");
   AF_EXPECT(count_scratch.size() >= static_cast<std::size_t>(bins) &&
                 value_sum_scratch.size() >= static_cast<std::size_t>(bins),
             "otsu_threshold_hist scratch too small");
   const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
   const double lo = *lo_it, hi = *hi_it;
-  if (hi <= lo) return hi;
+  if (hi <= lo) return {hi, hi};
 
   const auto b = static_cast<std::size_t>(bins);
-  const std::span<double> count = count_scratch.first(b);
+  const std::span<std::uint32_t> count = count_scratch.first(b);
   const std::span<double> value_sum = value_sum_scratch.first(b);
-  std::fill(count.begin(), count.end(), 0.0);
+  std::fill(count.begin(), count.end(), 0u);
   std::fill(value_sum.begin(), value_sum.end(), 0.0);
   const double scale = static_cast<double>(bins) / (hi - lo);
+  const auto bin_of = [&](double v) {
+    return std::min(static_cast<std::size_t>((v - lo) * scale), b - 1);
+  };
+  // Consecutive values mostly share a bin (the history is a smoothed
+  // signal), so the open bin's sum and count ride in registers and are
+  // stored only when the bin changes. Reloading the stored sum on return
+  // keeps every bin's additions in input order, starting from 0.0.
+  std::size_t open = bin_of(x.front());
+  double open_sum = 0.0;
+  std::uint32_t open_count = 0;
   for (double v : x) {
-    auto idx = static_cast<std::size_t>((v - lo) * scale);
-    idx = std::min(idx, b - 1);
-    count[idx] += 1.0;
-    value_sum[idx] += v;
+    const std::size_t idx = bin_of(v);
+    if (idx != open) {
+      value_sum[open] = open_sum;
+      count[open] += open_count;
+      open = idx;
+      open_sum = value_sum[idx];
+      open_count = 0;
+    }
+    open_sum += v;
+    ++open_count;
   }
-  const double n = static_cast<double>(x.size());
-  const double total = value_sum.empty() ? 0.0 : [&] {
-    double s = 0.0;
-    for (double v : value_sum) s += v;
-    return s;
-  }();
+  value_sum[open] = open_sum;
+  count[open] += open_count;
+
+  const std::uint64_t n_total = x.size();
+  const double n = static_cast<double>(n_total);
+  double total = 0.0;
+  for (double v : value_sum) total += v;
 
   // Between well-separated clusters the objective is flat (empty bins), so
   // follow the standard Otsu convention and take the midpoint of the tied
-  // argmax range instead of its first bin.
+  // argmax range instead of its first bin. Counts are exact integers, so
+  // converting the running count reproduces a double accumulation.
   double best_sep = -1.0;
   double first_tie = hi, last_tie = hi;
-  double cum_n = 0.0, cum_sum = 0.0;
+  std::uint64_t below = 0;
+  double cum_sum = 0.0;
   for (std::size_t i = 0; i + 1 < b; ++i) {
-    cum_n += count[i];
+    below += count[i];
     cum_sum += value_sum[i];
-    if (cum_n == 0.0 || cum_n == n) continue;
+    if (below == 0 || below == n_total) continue;
+    const double cum_n = static_cast<double>(below);
     const double mu_ng = cum_sum / cum_n;
     const double mu_g = (total - cum_sum) / (n - cum_n);
     const double w1 = cum_n / n, w0 = 1.0 - w1;
@@ -98,7 +121,7 @@ double otsu_threshold_hist_with(std::span<const double> x, int bins,
       last_tie = threshold;
     }
   }
-  return 0.5 * (first_tie + last_tie);
+  return {0.5 * (first_tie + last_tie), hi};
 }
 
 namespace {
@@ -208,118 +231,142 @@ std::vector<Segment> segment_signal(std::span<const double> delta_rss2,
   return out;
 }
 
-DynamicThresholdSegmenter::DynamicThresholdSegmenter(
-    const SegmenterConfig& config)
+namespace {
+constexpr int kOtsuBins = 64;
+
+/// A config-derived sample count as the 32-bit field the per-frame state
+/// keeps. Counts past 2^32 - 1 samples (16 months at 100 Hz) saturate:
+/// like the unbounded count, they are never reached by a stream.
+std::uint32_t saturate_u32(std::size_t v) {
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(v, std::numeric_limits<std::uint32_t>::max()));
+}
+
+std::size_t rounded_samples(double seconds, double rate_hz) {
+  return static_cast<std::size_t>(std::lround(seconds * rate_hz));
+}
+}  // namespace
+
+SegmenterCalibration::SegmenterCalibration(const SegmenterConfig& config)
     : config_(config),
-      threshold_(config.initial_threshold),
-      log_threshold_(std::log1p(std::max(config.initial_threshold, 0.0))),
-      log_exit_(log_threshold_) {
+      otsu_count_(kOtsuBins, 0),
+      otsu_sum_(kOtsuBins, 0.0),
+      threshold_(config.initial_threshold) {
   AF_EXPECT(config.sample_rate_hz > 0.0, "sample rate must be positive");
   AF_EXPECT(config.history_capacity >= 16,
             "history capacity too small to calibrate a threshold");
+  AF_EXPECT(config.history_capacity <= std::numeric_limits<std::uint32_t>::max(),
+            "history capacity must fit 32 bits");
   AF_EXPECT(config.update_interval >= 1, "update interval must be >= 1");
-  history_.reserve(config.history_capacity);
-  gap_samples_ = static_cast<std::size_t>(
-      std::lround(config.cluster_gap_s * config.sample_rate_hz));
-  const auto smooth_w = static_cast<std::size_t>(
-      std::lround(config.smooth_window_s * config.sample_rate_hz));
-  min_samples_ = static_cast<std::size_t>(std::lround(
-                     config.min_duration_s * config.sample_rate_hz)) +
-                 smooth_w;
-  const auto w = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(config.smooth_window_s * config.sample_rate_hz)));
-  smooth_ring_.assign(w, 0.0);
-  otsu_count_.assign(64, 0.0);
-  otsu_sum_.assign(64, 0.0);
+  AF_EXPECT(config.update_interval <= std::numeric_limits<std::uint32_t>::max(),
+            "update interval must fit 32 bits");
+  AF_EXPECT(smooth_samples() <= std::numeric_limits<std::uint32_t>::max(),
+            "smoothing window must fit 32 bits");
+  history_.resize(config.history_capacity);
 }
 
-void DynamicThresholdSegmenter::maybe_update_threshold() {
-  if (position_ % config_.update_interval != 0) return;
-  const std::size_t n = history_full_ ? history_.size() : history_head_;
-  if (n < 16) return;  // not enough evidence yet; keep I'_seg
-  const std::span<const double> window(history_.data(), n);
-  const double candidate =
-      otsu_threshold_hist_with(window, 64, otsu_count_, otsu_sum_);
-  const ClassMeans means = class_means(window, candidate);
+std::size_t SegmenterCalibration::smooth_samples() const {
+  return std::max<std::size_t>(
+      1, rounded_samples(config_.smooth_window_s, config_.sample_rate_hz));
+}
+
+SegmenterState SegmenterCalibration::restart() {
+  threshold_ = config_.initial_threshold;
+  SegmenterState s;
+  s.log_threshold = std::log1p(std::max(config_.initial_threshold, 0.0));
+  s.log_exit = s.log_threshold;
+  s.smooth_len = static_cast<std::uint32_t>(smooth_samples());
+  s.history_capacity = static_cast<std::uint32_t>(config_.history_capacity);
+  s.update_interval = static_cast<std::uint32_t>(config_.update_interval);
+  s.warmup_samples = saturate_u32(config_.warmup_samples);
+  s.gap_samples = saturate_u32(
+      rounded_samples(config_.cluster_gap_s, config_.sample_rate_hz));
+  // Smoothing widens every above-threshold run by roughly the window, so
+  // the minimum-duration rule accounts for it.
+  s.min_samples = saturate_u32(
+      rounded_samples(config_.min_duration_s, config_.sample_rate_hz) +
+      rounded_samples(config_.smooth_window_s, config_.sample_rate_hz));
+  return s;
+}
+
+void SegmenterCalibration::refit(std::span<const double> window,
+                                 SegmenterState& state) {
+  const OtsuFit fit =
+      otsu_fit_hist(window, kOtsuBins, otsu_count_, otsu_sum_);
+  const ClassMeans means = class_means(window, fit.threshold);
   if (split_is_bimodal(means, config_.min_log_separation)) {
-    log_threshold_ = candidate;
-    log_exit_ = means.mu_lo + config_.exit_ratio * (candidate - means.mu_lo);
+    state.log_threshold = fit.threshold;
+    state.log_exit =
+        means.mu_lo + config_.exit_ratio * (fit.threshold - means.mu_lo);
   } else {
     // All-noise history: hold the threshold above everything seen so far
-    // so idle noise cannot open segments.
-    double peak = 0.0;
-    for (double v : window) peak = std::max(peak, v);
-    log_threshold_ = peak + 0.5;
-    log_exit_ = log_threshold_;
+    // (and above 0, where the peak fold starts) so idle noise cannot open
+    // segments.
+    state.log_threshold = std::max(0.0, fit.max) + 0.5;
+    state.log_exit = state.log_threshold;
   }
-  threshold_ = std::expm1(log_threshold_);
+  threshold_ = std::expm1(state.log_threshold);
 }
 
-std::optional<Segment> DynamicThresholdSegmenter::finalize() {
-  in_gesture_ = false;
-  const Segment seg{segment_begin_, last_above_ + 1};
-  if (seg.length() >= min_samples_) return seg;
+std::optional<Segment> segmenter_flush(SegmenterState& s) {
+  if (!s.in_gesture) return std::nullopt;
+  s.in_gesture = false;
+  const Segment seg{s.segment_begin, s.last_above + 1};
+  if (seg.length() >= s.min_samples) return seg;
   return std::nullopt;
 }
 
-std::optional<Segment> DynamicThresholdSegmenter::push(double value) {
+std::optional<Segment> segmenter_push(SegmenterState& s, double* smooth_ring,
+                                      double* history,
+                                      SegmenterCalibration& calibration,
+                                      double value) {
   // Incremental moving average, then log compression (matching
   // segment_signal's preprocessing).
-  smooth_sum_ += value - smooth_ring_[smooth_head_];
-  smooth_ring_[smooth_head_] = value;
-  smooth_head_ = (smooth_head_ + 1) % smooth_ring_.size();
-  smooth_count_ = std::min(smooth_count_ + 1, smooth_ring_.size());
+  s.smooth_sum += value - smooth_ring[s.smooth_head];
+  smooth_ring[s.smooth_head] = value;
+  if (++s.smooth_head == s.smooth_len) s.smooth_head = 0;
+  s.smooth_count = std::min(s.smooth_count + 1, s.smooth_len);
   const double smoothed =
-      std::max(smooth_sum_, 0.0) / static_cast<double>(smooth_count_);
+      std::max(s.smooth_sum, 0.0) / static_cast<double>(s.smooth_count);
   const double logv = std::log1p(smoothed);
 
-  // Accumulate calibration history (ring buffer).
-  if (history_.size() < config_.history_capacity) {
-    history_.push_back(logv);
-    history_head_ = history_.size();
-  } else {
-    history_full_ = true;
-    history_[history_head_ % history_.size()] = logv;
-    ++history_head_;
+  // Accumulate calibration history (ring buffer), and recompute the
+  // threshold every update_interval samples once 16 values are in.
+  history[s.history_slot] = logv;
+  if (++s.history_slot == s.history_capacity) {
+    s.history_slot = 0;
+    s.history_full = true;
   }
-  maybe_update_threshold();
+  if (s.position % s.update_interval == 0) {
+    const std::size_t n = s.history_full ? s.history_capacity : s.history_slot;
+    if (n >= 16) calibration.refit({history, n}, s);
+  }
 
   std::optional<Segment> completed;
-  const bool above =
-      logv > (in_gesture_ ? log_exit_ : log_threshold_) &&
-      position_ >= config_.warmup_samples;
+  const bool above = logv > (s.in_gesture ? s.log_exit : s.log_threshold) &&
+                     s.position >= s.warmup_samples;
   if (above) {
-    if (!in_gesture_) {
-      in_gesture_ = true;
-      segment_begin_ = position_;
+    if (!s.in_gesture) {
+      s.in_gesture = true;
+      s.segment_begin = s.position;
     }
-    last_above_ = position_;
-  } else if (in_gesture_ && position_ - last_above_ > gap_samples_) {
-    completed = finalize();
+    s.last_above = s.position;
+  } else if (s.in_gesture && s.position - s.last_above > s.gap_samples) {
+    completed = segmenter_flush(s);
   }
-  ++position_;
+  ++s.position;
   return completed;
 }
 
-std::optional<Segment> DynamicThresholdSegmenter::flush() {
-  if (!in_gesture_) return std::nullopt;
-  return finalize();
-}
+DynamicThresholdSegmenter::DynamicThresholdSegmenter(
+    const SegmenterConfig& config)
+    : calibration_(config),
+      state_(calibration_.restart()),
+      smooth_ring_(calibration_.smooth_samples(), 0.0) {}
 
 void DynamicThresholdSegmenter::reset() {
-  history_.clear();
-  history_head_ = 0;
-  history_full_ = false;
-  threshold_ = config_.initial_threshold;
-  log_threshold_ = std::log1p(std::max(config_.initial_threshold, 0.0));
-  log_exit_ = log_threshold_;
-  position_ = 0;
-  in_gesture_ = false;
-  smooth_ring_.assign(smooth_ring_.size(), 0.0);
-  smooth_head_ = 0;
-  smooth_count_ = 0;
-  smooth_sum_ = 0.0;
+  state_ = calibration_.restart();
+  std::fill(smooth_ring_.begin(), smooth_ring_.end(), 0.0);
 }
 
 }  // namespace airfinger::dsp

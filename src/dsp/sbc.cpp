@@ -10,13 +10,7 @@ SquareBasedCalculator::SquareBasedCalculator(std::size_t window)
 }
 
 double SquareBasedCalculator::push(double rss) {
-  double out = 0.0;
-  if (seen_ >= window_) {
-    const double prev = delay_[head_];
-    const double d = rss - prev;
-    out = d * d;
-  }
-  delay_[head_] = rss;
+  const double out = sbc_step(delay_[head_], rss, seen_ >= window_);
   head_ = (head_ + 1) % window_;
   ++seen_;
   return out;

@@ -14,6 +14,21 @@
 
 namespace airfinger::dsp {
 
+/// The one streaming SBC update: returns (x - slot)², the square of the
+/// difference from the sample stored `window` frames ago, once the delay
+/// line is `primed` (w samples seen; 0 before), and stores x in its place.
+/// SquareBasedCalculator and core::Session, which keeps every channel's
+/// delay samples in its packed per-frame state, both go through it.
+inline double sbc_step(double& slot, double x, bool primed) {
+  double out = 0.0;
+  if (primed) {
+    const double d = x - slot;
+    out = d * d;
+  }
+  slot = x;
+  return out;
+}
+
 /// Streaming SBC filter over one channel.
 class SquareBasedCalculator {
  public:

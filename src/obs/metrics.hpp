@@ -95,6 +95,12 @@ class Registry {
   }
   std::uint64_t counter_value(Handle h) const { return counters_[h].value; }
 
+  /// The storage of a counter's value, for a single writer that bumps its
+  /// hottest counter through a pointer it keeps beside its other per-frame
+  /// state (saturating_add, like inc()). Valid until the next registration
+  /// (which may reallocate); moving the registry keeps it valid.
+  std::uint64_t* counter_cell(Handle h) { return &counters_[h].value; }
+
   void set(Handle h, double v) { gauges_[h].value = v; }
   double gauge_value(Handle h) const { return gauges_[h].value; }
 

@@ -202,8 +202,8 @@ void PipelineObservability::set_clock(std::unique_ptr<Clock> clock) {
 
 void PipelineObservability::set_sample_every(std::uint32_t n) {
   AF_EXPECT(n >= 1, "span sampling rate must be >= 1");
-  sample_every_ = n;
-  sample_countdown_ = 1;
+  sampler().every = n;
+  sampler().countdown = 1;
 }
 
 void PipelineObservability::record(PipelineEvent::Kind kind,
@@ -280,7 +280,7 @@ void PipelineObservability::reset_values() {
   flight_.clear();
   // Restart the sampling phase so a reset session traces exactly like a
   // fresh one (Session::reset() bit-identity).
-  sample_countdown_ = 1;
+  sampler().countdown = 1;
 }
 
 void PipelineObservability::dump_events(std::ostream& os) const {

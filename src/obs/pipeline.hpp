@@ -169,6 +169,24 @@ class FlightRecorder {
   std::uint64_t triggers_ = 0;
 };
 
+/// Deterministic 1-in-`every` frame gate for the per-frame stage spans:
+/// purely counter-based, so traces are bit-identical across runs and
+/// thread counts. Plain data, so a session can keep it with the rest of
+/// its per-frame state and bind it to its observability.
+struct FrameSampler {
+  static constexpr std::uint32_t kDefaultEvery = 16;
+
+  std::uint32_t every = kDefaultEvery;
+  std::uint32_t countdown = 1;  ///< 1 ⇒ the next frame is sampled.
+
+  /// Advances one frame; true when this frame carries the spans.
+  bool next() {
+    if (--countdown != 0) return false;
+    countdown = every;
+    return true;
+  }
+};
+
 /// The per-session observability bundle: clock + registry + event ring,
 /// with the session metric schema pre-registered and handles cached.
 class PipelineObservability {
@@ -192,18 +210,16 @@ class PipelineObservability {
   /// the default keeps steady-state clock reads rare. Restarts the phase
   /// so the next frame is sampled.
   void set_sample_every(std::uint32_t n);
-  std::uint32_t sample_every() const { return sample_every_; }
+  std::uint32_t sample_every() const { return sampler().every; }
 
-  /// Deterministic 1-in-`sample_every()` gate, advanced once per frame by
-  /// the session. Purely counter-based, so traces are bit-identical across
-  /// runs and thread counts.
-  bool sample_frame() {
-    if (--sample_countdown_ != 0) return false;
-    sample_countdown_ = sample_every_;
-    return true;
-  }
+  static constexpr std::uint32_t kDefaultSampleEvery =
+      FrameSampler::kDefaultEvery;
 
-  static constexpr std::uint32_t kDefaultSampleEvery = 16;
+  /// Keeps the sampling state in `sampler` (owned by the caller, which
+  /// re-binds after moving it) instead of this object: a session holds it
+  /// in its packed per-frame state and advances it there directly. The
+  /// bound sampler takes over as is.
+  void bind_sampler(FrameSampler& sampler) { bound_sampler_ = &sampler; }
 
   // ------------------------------------------------------------ tracing
   /// Runtime trace switch. Tracing is record-only — emissions are
@@ -315,10 +331,17 @@ class PipelineObservability {
   Registry::Handle gesture_e2e_;       ///< af_gesture_e2e_seconds.
   Registry::Handle traces_completed_;  ///< af_gesture_traces_total.
   Registry::Handle traces_evicted_;    ///< af_gesture_traces_dropped_total.
+  FrameSampler& sampler() {
+    return bound_sampler_ ? *bound_sampler_ : own_sampler_;
+  }
+  const FrameSampler& sampler() const {
+    return bound_sampler_ ? *bound_sampler_ : own_sampler_;
+  }
+
   bool spans_enabled_ = true;
   bool trace_enabled_ = true;
-  std::uint32_t sample_every_ = kDefaultSampleEvery;
-  std::uint32_t sample_countdown_ = 1;  ///< 1 ⇒ the next frame is sampled.
+  FrameSampler own_sampler_;
+  FrameSampler* bound_sampler_ = nullptr;  ///< See bind_sampler().
 };
 
 /// RAII stage timer. Construct with the owning component's observability

@@ -248,6 +248,66 @@ TEST(Session, ConstructionSharesModelsWithoutCopying) {
   EXPECT_EQ(&*a.bundle().filter(), &*bundle->filter());
 }
 
+// A Session moved mid-stream carries on exactly where it stopped: its
+// per-frame state lives in a hot block whose span sampler the
+// observability is re-bound to, and the rest moves member by member.
+// Emissions and the frame / sampled-span / artifact counters must equal a
+// session that never moved, with the artifact layer on and off, and a
+// sampling rate set after the move must act on the moved session.
+TEST(Session, MoveMidStreamMatchesUnmovedSession) {
+  const auto& bundle = trained_bundle();
+  core::FaultPolicy artifacts;
+  artifacts.enabled = true;
+  artifacts.artifact.detect = true;
+  for (const core::FaultPolicy& policy :
+       {bundle->config().fault_policy, artifacts}) {
+    for (const auto& probe : probe_corpus().samples) {
+      const auto& trace = probe.trace;
+      const std::size_t half = trace.sample_count() / 2;
+      std::vector<core::GestureEvent> events_ref, events_moved;
+      const auto feed = [&](core::Session& s, std::size_t from,
+                            std::size_t to,
+                            std::vector<core::GestureEvent>& out) {
+        const core::Session::EventCallback sink =
+            [&out](const core::GestureEvent& e) { out.push_back(e); };
+        std::vector<double> frame(trace.channel_count());
+        for (std::size_t k = from; k < to; ++k) {
+          for (std::size_t c = 0; c < frame.size(); ++c)
+            frame[c] = trace.channel(c)[k];
+          s.push_frame(frame, sink);
+        }
+        if (to == trace.sample_count()) s.finish(sink);
+      };
+
+      core::Session reference(bundle, policy);
+      reference.observability().set_sample_every(5);
+      feed(reference, 0, half, events_ref);
+      reference.observability().set_sample_every(3);
+      feed(reference, half, trace.sample_count(), events_ref);
+
+      core::Session original(bundle, policy);
+      original.observability().set_sample_every(5);
+      feed(original, 0, half, events_moved);
+      core::Session moved(std::move(original));
+      EXPECT_EQ(moved.observability().sample_every(), 5u);
+      moved.observability().set_sample_every(3);
+      feed(moved, half, trace.sample_count(), events_moved);
+
+      expect_events_identical(events_moved, events_ref);
+      EXPECT_EQ(moved.frames_seen(), reference.frames_seen());
+      const auto snap_ref = reference.observability().registry().snapshot();
+      const auto snap = moved.observability().registry().snapshot();
+      for (const char* name :
+           {"af_frames_total", "af_stage_ingest_ns",
+            "af_segments_opened_total", "af_artifact_impulse_suspect_total"}) {
+        SCOPED_TRACE(name);
+        ASSERT_NE(snap.find(name), nullptr);
+        EXPECT_EQ(snap.find(name)->count, snap_ref.find(name)->count);
+      }
+    }
+  }
+}
+
 TEST(Session, IndependentSessionsMatchSerialReplay) {
   const auto& bundle = trained_bundle();
   const auto& probes = probe_corpus();

@@ -2,6 +2,7 @@
 // segmentation, FFT, wavelets, autocorrelation, filters, cross-correlation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -18,6 +19,7 @@
 #include "dsp/sbc.hpp"
 #include "dsp/wavelet.hpp"
 #include "dsp/xcorr.hpp"
+#include "otsu_reference.hpp"
 
 namespace airfinger::dsp {
 namespace {
@@ -187,6 +189,71 @@ TEST(Segmenter, StreamingQuietOnNoise) {
     if (seg.push(std::fabs(rng.normal(3, 1)))) ++segments;
   if (seg.flush()) ++segments;
   EXPECT_EQ(segments, 0);
+}
+
+/// A randomized calibration window shaped like the segmenter's history:
+/// log1p of non-negative smoothed energy. `shape` picks idle noise, a
+/// noise/gesture mixture, slow runs (long same-bin stretches), constant
+/// values, or exact zeros with rare spikes.
+std::vector<double> calibration_window(int shape, std::size_t n,
+                                       std::mt19937_64& rng) {
+  std::exponential_distribution<double> idle(1.0);
+  std::normal_distribution<double> gesture(60.0, 25.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> x(n);
+  double level = idle(rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    double energy = 0.0;
+    switch (shape) {
+      case 0: energy = idle(rng); break;
+      case 1: energy = unit(rng) < 0.2 ? gesture(rng) : idle(rng); break;
+      case 2:
+        if (unit(rng) < 0.05) level = unit(rng) < 0.3 ? gesture(rng) : idle(rng);
+        energy = level;
+        break;
+      case 3: energy = 7.25; break;
+      default: energy = unit(rng) < 0.02 ? gesture(rng) : 0.0; break;
+    }
+    x[i] = std::log1p(std::max(energy, 0.0));
+  }
+  return x;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// The refit's histogram counts in integers, carries each bin's running sum
+// in a register and reuses the min/max pass's maximum as the all-noise
+// peak. None of that may move a bit: threshold, exit level and I_seg must
+// equal the reference copy of the per-value double-count code.
+TEST(Segmenter, RefitMatchesReferenceBitForBit) {
+  std::mt19937_64 rng(0x0757);
+  SegmenterConfig config;
+  SegmenterCalibration calibration(config);
+  std::size_t bimodal = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int shape = trial % 5;
+    const std::size_t n =
+        16 + static_cast<std::size_t>(rng() % (config.history_capacity - 15));
+    const std::vector<double> window = calibration_window(shape, n, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", shape " +
+                 std::to_string(shape) + ", n " + std::to_string(n));
+    const test::ReferenceLevels expected = test::reference_refit(window, config);
+    SegmenterState state = calibration.restart();
+    calibration.refit(window, state);
+    EXPECT_EQ(bits(state.log_threshold), bits(expected.log_threshold));
+    EXPECT_EQ(bits(state.log_exit), bits(expected.log_exit));
+    EXPECT_EQ(bits(calibration.threshold()), bits(expected.threshold));
+    EXPECT_EQ(bits(otsu_threshold_hist(window)),
+              bits(test::reference_otsu_hist(window, 64)));
+    if (state.log_exit != state.log_threshold) ++bimodal;
+  }
+  // Both branches of the refit must run, or the comparison is one-sided.
+  EXPECT_GT(bimodal, 100u);
+  EXPECT_LT(bimodal, 1400u);
 }
 
 TEST(Segmenter, ResetRestoresInitialState) {

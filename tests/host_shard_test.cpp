@@ -13,6 +13,9 @@
 //   * sessions can be added and removed between epochs: indices stay
 //     stable, retired lanes reject feeds and keep contributing their
 //     final health/metrics to the aggregates;
+//   * the drain loop's lookahead (prefetching the lanes of the records
+//     one and two ahead) never changes a frame's outcome, around a lane
+//     that throws mid-batch and a lane retired between epochs;
 //   * admission control is exact and per shard: under kReject in inline
 //     mode the rejected-frame counters match the injected overflow frame
 //     for frame, a shard's queue holds ring_frames per lane (and grows
@@ -22,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -313,6 +317,96 @@ TEST(HostSharding, AddAndRemoveSessionsBetweenEpochs) {
   core::Session standalone(trained_bundle());
   expect_events_identical(per_session[2],
                           standalone.process_trace(traces[2]));
+}
+
+// ------------------------------------------------ drain lookahead
+
+// The drain loop looks ahead within a batch (DESIGN.md §19): two records
+// ahead it prefetches that lane's hot range, one record ahead it asks the
+// lane's session to prefetch the heap lines of its next frame — unless
+// the lane is retired. Lookahead must never change what a frame does. The
+// second epoch here runs after a lane was retired between epochs, and its
+// inline drain batch holds a lane whose strict session throws mid-batch,
+// followed by that lane's records the host then discards, interleaved
+// with the healthy lanes. Every lane must emit exactly what a standalone
+// Session fed the same frames emits, up to its fault or retirement, at 1,
+// 2 and 4 shards.
+TEST(HostSharding, LookaheadAroundFaultAndRetirementIsBitIdentical) {
+  constexpr std::size_t kLanes = 6;
+  constexpr std::size_t kEpoch = 48;  // frames per lane per pump()
+  constexpr std::size_t kFaulty = 2;
+  constexpr std::size_t kFaultFrame = kEpoch + kEpoch / 2;
+  constexpr std::size_t kRetired = 3;
+  const auto traces = gesture_streams(kLanes);
+  const std::size_t channels = traces.front().channel_count();
+  std::size_t longest = 0;
+  for (const auto& t : traces) {
+    ASSERT_GT(t.sample_count(), 2 * kEpoch);
+    longest = std::max(longest, t.sample_count());
+  }
+  const auto frame_of = [&](std::size_t lane, std::size_t f,
+                            std::vector<double>& frame) {
+    for (std::size_t c = 0; c < channels; ++c)
+      frame[c] = traces[lane].channel(c)[f];
+    if (lane == kFaulty && f == kFaultFrame)
+      frame[0] = std::numeric_limits<double>::quiet_NaN();
+  };
+
+  // Reference: one standalone strict Session per lane.
+  std::vector<core::SessionEvent> reference;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    core::Session session(trained_bundle(), core::FaultPolicy{});
+    const core::Session::EventCallback sink =
+        [&reference, lane](const core::GestureEvent& e) {
+          reference.push_back({lane, e});
+        };
+    const std::size_t end =
+        lane == kRetired ? kEpoch : traces[lane].sample_count();
+    std::vector<double> frame(channels);
+    bool faulted = false;
+    for (std::size_t f = 0; f < end && !faulted; ++f) {
+      frame_of(lane, f, frame);
+      try {
+        session.push_frame(frame, sink);
+      } catch (const StreamFaultError&) {
+        faulted = true;
+      }
+    }
+    ASSERT_EQ(faulted, lane == kFaulty);
+    if (!faulted && lane != kRetired) session.finish(sink);
+  }
+  ASSERT_FALSE(reference.empty());
+
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    core::HostConfig config;
+    config.shards = shards;
+    config.ring_frames = kEpoch;  // an epoch fits: inline drains it at pump()
+    core::MultiSessionHost host(trained_bundle(), kLanes,
+                                core::FaultPolicy{}, config);
+    std::vector<double> frame(channels);
+    for (std::size_t start = 0; start < longest; start += kEpoch) {
+      if (start == kEpoch) host.remove_session(kRetired);
+      const std::size_t end = std::min(start + kEpoch, longest);
+      for (std::size_t f = start; f < end; ++f)
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+          if (f >= traces[lane].sample_count()) continue;
+          frame_of(lane, f, frame);
+          host.feed(lane, frame);
+        }
+      host.pump();
+    }
+    host.finish();
+    EXPECT_TRUE(host.session_faulted(kFaulty));
+    EXPECT_EQ(host.dropped_frames(kFaulty),
+              traces[kFaulty].sample_count() - kFaultFrame);
+    EXPECT_TRUE(host.session_retired(kRetired));
+    EXPECT_EQ(host.rejected_frames(kRetired),
+              traces[kRetired].sample_count() - kEpoch);
+    EXPECT_EQ(host.faulted_count(), 1u);
+    expect_hosted_identical(reference, host.drain());
+  }
 }
 
 // ------------------------------------------------- admission control

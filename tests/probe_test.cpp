@@ -65,6 +65,15 @@ std::vector<std::vector<double>> make_windows(int shape, std::size_t channels,
   return out;
 }
 
+/// Per-sample energy of `channels`: the channel-order sum from 0.0 that a
+/// session's open-segment view carries.
+std::vector<double> channel_sum(const std::vector<std::vector<double>>& channels) {
+  std::vector<double> energy(channels.front().size(), 0.0);
+  for (const auto& ch : channels)
+    for (std::size_t i = 0; i < energy.size(); ++i) energy[i] += ch[i];
+  return energy;
+}
+
 // The incremental cache must agree with the batch analysis at *every*
 // prefix length — the per-frame streaming cadence the probe actually
 // runs at, with no lazy-advance gaps hiding a frontier bug — and when it
@@ -88,6 +97,7 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
       common::ScratchArena batch_arena;
       double frame[kChannels];
       std::vector<std::span<const double>> windows(kChannels);
+      const std::vector<double> energy = channel_sum(channels);
       for (std::size_t n = 1; n <= total; ++n) {
         for (std::size_t c = 0; c < kChannels; ++c)
           frame[c] = channels[c][n - 1];
@@ -96,7 +106,8 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
         for (std::size_t c = 0; c < kChannels; ++c)
           windows[c] = std::span<const double>(channels[c].data(), n);
         const std::span<const std::span<const double>> w(windows);
-        const auto incremental = cache.timing(w);
+        const auto incremental =
+            cache.timing(w, std::span<const double>(energy).first(n));
         const auto batch = core::segment_timing(w, kRate, config, batch_arena);
         expect_timing_equal(incremental, batch, n);
       }
@@ -121,6 +132,7 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
   cache.begin_segment();
   double frame[kChannels];
   std::vector<std::span<const double>> windows(kChannels);
+  const std::vector<double> energy = channel_sum(channels);
   core::SegmentTiming prev;
   bool have_prev = false;
   std::size_t unchanged_frames = 0;
@@ -134,7 +146,8 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
     // Idempotent re-entry: a second refresh over the same window reports
     // the same verdict (the probe may be re-run without a new append).
     EXPECT_EQ(cache.refresh(w), changed);
-    const auto timing = cache.timing(w);
+    const auto timing =
+        cache.timing(w, std::span<const double>(energy).first(n));
     if (!changed) {
       ASSERT_TRUE(have_prev);
       ++unchanged_frames;

@@ -24,6 +24,27 @@
 namespace airfinger::common {
 namespace {
 
+// peek(k) reads the element k places behind the head without consuming
+// it — the host's drain loop uses it to look a record or two ahead —
+// including across the wrap of the buffer.
+TEST(SpscRing, PeekLooksAheadWithoutPopping) {
+  SpscRing<int> ring(5);
+  for (int round = 0; round < 4; ++round) {
+    const int base = 10 * round;
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(base + i));
+    for (int k = 0; k < 4; ++k) EXPECT_EQ(ring.peek(static_cast<std::size_t>(k)), base + k);
+    EXPECT_EQ(ring.size(), 4u);
+    int out = -1;
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, base);
+    EXPECT_EQ(ring.peek(0), base + 1);
+    EXPECT_EQ(ring.peek(2), base + 3);
+    EXPECT_THROW(ring.peek(3), InvariantError);  // past the tail
+    while (ring.try_pop(out)) {
+    }
+  }
+}
+
 TEST(SpscRing, RejectsZeroCapacity) {
   EXPECT_THROW(SpscRing<int>(0), PreconditionError);
 }

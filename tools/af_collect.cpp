@@ -12,7 +12,7 @@
 
 using namespace airfinger;
 
-int main(int argc, char** argv) {
+static int program(int argc, char** argv) {
   common::Cli cli("af_collect", "synthesize and export a gesture corpus");
   cli.add_flag("users", "4", "synthetic volunteers");
   cli.add_flag("sessions", "2", "sessions per volunteer");
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << dataset.size() << " samples to " << cli.get("out")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, program);
 }

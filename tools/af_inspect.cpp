@@ -134,10 +134,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const airfinger::PreconditionError& e) {
-    std::cerr << "af_inspect: " << e.what() << "\n";
-    return 1;
-  }
+  return airfinger::common::run_main(argc, argv, run);
 }

@@ -214,10 +214,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const airfinger::PreconditionError& e) {
-    std::cerr << "af_stats: " << e.what() << "\n";
-    return 1;
-  }
+  return airfinger::common::run_main(argc, argv, run);
 }

@@ -11,7 +11,8 @@
 #   4. asan:   ASan/UBSan build of the model/session/concurrency suites
 #   5. native: -DAF_NATIVE=ON tree replays the goldens
 #   6. bench:  bench_robustness smoke from the tier-1 tree (artifact
-#      detection gates, 0 allocs/frame on clean and storm traffic)
+#      detection gates, 0 allocs/frame on clean and storm traffic), and a
+#      short BM_HostRoundRobin run beside BM_EnginePushFrame
 #   7. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
 #
 # Usage: tools/run_checks.sh [--soak] [build-dir]   (default build-dir: build)
@@ -122,6 +123,17 @@ ROBUST_OUT="$(mktemp /tmp/BENCH_robustness.smoke.XXXXXX.json)"
 "${BUILD}/bench/bench_robustness" --smoke 1 --users 2 --sessions 1 \
   --reps 3 --out "${ROBUST_OUT}"
 rm -f "${ROBUST_OUT}"
+
+echo "== bench smoke: BM_HostRoundRobin (cold per-stream state) =="
+# A short run of the round-robin host benchmark and the hot-session one it
+# is read against (DESIGN.md §19): it must build and run; the timings are
+# reported, not gated. The binary writes its thread-scaling JSON into the
+# working directory, so it runs in a throwaway one.
+MICRO_DIR="$(mktemp -d /tmp/af_micro.XXXXXX)"
+(cd "${MICRO_DIR}" && "${BUILD}/bench/bench_micro_pipeline" \
+  --benchmark_filter='BM_EnginePushFrame|BM_HostRoundRobin' \
+  --benchmark_min_time=0.05)
+rm -rf "${MICRO_DIR}"
 
 echo "== tsan: race-check the concurrency contract =="
 "${ROOT}/tools/run_tsan.sh" "${BUILD}/aux/tsan"
