@@ -5,10 +5,6 @@
 // DESIGN.md §5.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <iostream>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -38,6 +34,16 @@ const synth::Dataset& sample_data() {
     return synth::DatasetBuilder(config).collect();
   }();
   return data;
+}
+
+/// The dataset the thread-scaling benchmarks synthesize and fit.
+synth::CollectionConfig scaling_config() {
+  synth::CollectionConfig config;
+  config.users = 2;
+  config.sessions = 1;
+  config.repetitions = 4;
+  config.seed = 0xBE7C;
+  return config;
 }
 
 const synth::GestureSample& scroll_sample() {
@@ -225,96 +231,33 @@ static void BM_SynthesizeSample(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeSample);
 
-// --- Thread scaling: wall-clock of the two dominant offline costs
-// (dataset synthesis, forest training) at 1/2/N pool threads, emitted as
-// JSON alongside the google-benchmark output. The determinism suite
-// guarantees the outputs are bit-identical across these runs; this report
-// tracks how much wall-clock the parallel substrate buys.
-namespace {
+// --- Thread scaling of the two dominant offline costs, dataset synthesis
+// and a 100-tree forest fit, at 1, 2 and 4 pool threads (wall clock). The
+// determinism suite guarantees the outputs are bit-identical across these
+// runs; the timings show what the parallel substrate buys.
+static void BM_SynthesizeDataset(benchmark::State& state) {
+  const synth::CollectionConfig config = scaling_config();
+  common::ScopedThreads threads(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(synth::DatasetBuilder(config).collect());
+}
+BENCHMARK(BM_SynthesizeDataset)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-/// One untimed warmup run (page-faults the working set, spins the thread
-/// pool up, settles CPU clocks), then the median of `rounds` timed runs —
-/// robust to a single preempted outlier in either direction, where
-/// best-of rewards a lucky run and mean punishes one stall.
-double time_median_of(int rounds, const std::function<void()>& fn) {
-  fn();  // warmup, untimed
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(rounds));
-  for (int r = 0; r < rounds; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    samples.push_back(std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
+static void BM_ForestFit(benchmark::State& state) {
+  // Featurized once, outside the timed loop.
+  static const auto set = core::build_feature_set(
+      synth::DatasetBuilder(scaling_config()).collect(),
+      core::DataProcessor{}, features::FeatureBank{},
+      core::LabelScheme::kAllEight);
+  ml::RandomForestConfig config;
+  config.num_trees = 100;
+  common::ScopedThreads threads(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    ml::RandomForest forest(config);
+    forest.fit(set);
+    benchmark::DoNotOptimize(forest);
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
 }
+BENCHMARK(BM_ForestFit)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-void write_thread_scaling_report(const std::string& path) {
-  std::vector<std::size_t> counts{1, 2};
-  const std::size_t native = common::resolve_thread_count();
-  counts.push_back(native > 4 ? native : 4);
-
-  synth::CollectionConfig synth_config;
-  synth_config.users = 2;
-  synth_config.sessions = 1;
-  synth_config.repetitions = 4;
-  synth_config.seed = 0xBE7C;
-
-  // Training workload: featurize once (serial), then time RF fits.
-  const synth::Dataset train_data =
-      synth::DatasetBuilder(synth_config).collect();
-  const core::DataProcessor proc;
-  const features::FeatureBank bank;
-  const auto set = core::build_feature_set(train_data, proc, bank,
-                                           core::LabelScheme::kAllEight);
-  ml::RandomForestConfig forest_config;
-  forest_config.num_trees = 100;
-
-  std::vector<double> synthesis_s, training_s;
-  for (std::size_t threads : counts) {
-    common::ScopedThreads scoped(threads);
-    synthesis_s.push_back(time_median_of(3, [&] {
-      benchmark::DoNotOptimize(
-          synth::DatasetBuilder(synth_config).collect());
-    }));
-    training_s.push_back(time_median_of(3, [&] {
-      ml::RandomForest forest(forest_config);
-      forest.fit(set);
-      benchmark::DoNotOptimize(forest);
-    }));
-  }
-
-  const auto emit = [&](std::ostream& os) {
-    os << "{\n  \"hardware_threads\": " << native << ",\n";
-    os << "  \"threads\": [";
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      os << (i ? ", " : "") << counts[i];
-    os << "],\n  \"synthesis_s\": [";
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      os << (i ? ", " : "") << synthesis_s[i];
-    os << "],\n  \"training_s\": [";
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      os << (i ? ", " : "") << training_s[i];
-    os << "],\n  \"synthesis_speedup\": "
-       << synthesis_s.front() / synthesis_s.back()
-       << ",\n  \"training_speedup\": "
-       << training_s.front() / training_s.back() << "\n}\n";
-  };
-  std::ofstream file(path);
-  emit(file);
-  std::cout << "thread-scaling report (" << path << "):\n";
-  emit(std::cout);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  write_thread_scaling_report("micro_pipeline_threads.json");
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -503,8 +503,7 @@ void MultiSessionHost::remove_session(std::size_t i) {
   Lane& lane = *lanes_[i];
   if (lane.session.has_value()) {
     lane.final_health = lane.session->health();
-    lane.final_metrics =
-        lane.session->observability().registry().snapshot();
+    lane.final_metrics = lane.session->observability().registry();
   }
   slot.retired = true;
   lane.session.reset();  // frees the per-stream buffers
@@ -621,14 +620,14 @@ ShardTelemetry MultiSessionHost::shard_telemetry(std::size_t shard) const {
 obs::MetricsSnapshot MultiSessionHost::aggregate_metrics(
     bool include_load_series) const {
   quiesce();
-  const auto lane_snapshot = [](const Lane& lane) {
-    return lane.session.has_value()
-               ? lane.session->observability().registry().snapshot()
-               : lane.final_metrics;
+  const auto lane_metrics = [](const Lane& lane) -> const obs::Registry& {
+    return lane.session.has_value() ? lane.session->observability().registry()
+                                    : lane.final_metrics;
   };
-  obs::MetricsSnapshot total = lane_snapshot(*lanes_.front());
+  obs::Registry sum = lane_metrics(*lanes_.front());
   for (std::size_t i = 1; i < lanes_.size(); ++i)
-    total.add_from(lane_snapshot(*lanes_[i]));
+    sum.add_from(lane_metrics(*lanes_[i]));
+  obs::MetricsSnapshot total = sum.snapshot();
 
   std::uint64_t processed = 0, dropped = 0, rejected = 0, blocked = 0;
   std::size_t retired = 0;

@@ -244,18 +244,18 @@ class MultiSessionHost {
   HealthStats aggregate_health() const;
 
   /// Host-wide metrics view (DESIGN.md §13/§14): every session's registry
-  /// snapshot merged in deterministic lane order (index-wise saturating
-  /// adds over the shared schema; retired lanes contribute the snapshot
-  /// captured at retirement), followed by host-level series — lane /
-  /// fault / retire counts, frames processed, dropped, and rejected.
-  /// Those are all deterministic, so the default exposition keeps the
-  /// repo-wide invariance contract: byte-identical at any thread or shard
-  /// count. `include_load_series` appends the scheduling-dependent load
-  /// series too — shard count, per-lane queue share, the highest
-  /// per-shard occupancy, blocked feeds, and the per-shard utilization
-  /// series (af_shard<i>_*: parks, busy/parked time, batch sizes, queue
-  /// wait, occupancy) — which legitimately vary across machines and runs.
-  /// Quiesces the shards first, so the view is coherent.
+  /// summed in place in deterministic lane order (index-wise saturating adds
+  /// over the shared schema; retired lanes contribute the registry kept at
+  /// retirement) and snapshotted once, followed by host-level series — lane /
+  /// fault / retire counts, frames processed, dropped, and rejected. Those are
+  /// all deterministic, so the default exposition keeps the repo-wide
+  /// invariance contract: byte-identical at any thread or shard count.
+  /// `include_load_series` appends the scheduling-dependent load series too —
+  /// shard count, per-lane queue share, the highest per-shard occupancy,
+  /// blocked feeds, and the per-shard utilization series (af_shard<i>_*: parks,
+  /// busy/parked time, batch sizes, queue wait, occupancy) — which legitimately
+  /// vary across machines and runs. Quiesces the shards first, so the view is
+  /// coherent.
   obs::MetricsSnapshot aggregate_metrics(
       bool include_load_series = false) const;
 
@@ -315,7 +315,7 @@ class MultiSessionHost {
 
     // ---- captured by remove_session() before the session is freed.
     HealthStats final_health;
-    obs::MetricsSnapshot final_metrics;
+    obs::Registry final_metrics;  ///< Shares the session schema.
   };
 
   struct Shard;  // queue, worker parking and telemetry (in the .cpp)

@@ -1,11 +1,7 @@
 #include "obs/exposition.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -16,27 +12,11 @@ namespace airfinger::obs {
 namespace {
 
 /// %.17g: shortest-ish decimal form that still round-trips any double
-/// bit-exactly through strtod, so parse(write(snapshot)) == snapshot.
+/// bit-exactly through strtod.
 std::string fmt(double v) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.17g", v);
   return buffer;
-}
-
-double parse_double(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  AF_EXPECT(end != token.c_str() && *end == '\0',
-            "exposition: malformed number '" + token + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& token) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  AF_EXPECT(end != token.c_str() && *end == '\0',
-            "exposition: malformed count '" + token + "'");
-  return static_cast<std::uint64_t>(v);
 }
 
 const char* type_name(MetricEntry::Type type) {
@@ -81,95 +61,6 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
   }
 }
 
-MetricsSnapshot parse_prometheus(std::istream& is) {
-  MetricsSnapshot snap;
-  std::string line;
-  MetricEntry* current = nullptr;
-  std::uint64_t previous_cumulative = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# HELP ", 0) == 0) {
-      const std::string rest = line.substr(7);
-      const std::size_t space = rest.find(' ');
-      AF_EXPECT(space != std::string::npos, "prometheus: malformed HELP line");
-      MetricEntry e;
-      e.name = rest.substr(0, space);
-      e.help = rest.substr(space + 1);
-      snap.entries.push_back(std::move(e));
-      current = &snap.entries.back();
-      previous_cumulative = 0;
-      continue;
-    }
-    if (line.rfind("# TYPE ", 0) == 0) {
-      AF_EXPECT(current != nullptr, "prometheus: TYPE before HELP");
-      const std::string rest = line.substr(7);
-      const std::size_t space = rest.find(' ');
-      AF_EXPECT(space != std::string::npos &&
-                    rest.substr(0, space) == current->name,
-                "prometheus: TYPE line does not match preceding HELP");
-      const std::string type = rest.substr(space + 1);
-      if (type == "counter") {
-        current->type = MetricEntry::Type::kCounter;
-      } else if (type == "gauge") {
-        current->type = MetricEntry::Type::kGauge;
-      } else if (type == "histogram") {
-        current->type = MetricEntry::Type::kHistogram;
-      } else {
-        AF_EXPECT(false, "prometheus: unsupported metric type '" + type + "'");
-      }
-      continue;
-    }
-    AF_EXPECT(current != nullptr, "prometheus: sample before any HELP/TYPE");
-    const std::size_t space = line.rfind(' ');
-    AF_EXPECT(space != std::string::npos && space + 1 < line.size(),
-              "prometheus: malformed sample line");
-    const std::string series = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    switch (current->type) {
-      case MetricEntry::Type::kCounter:
-        AF_EXPECT(series == current->name, "prometheus: stray sample line");
-        current->count = parse_u64(value);
-        break;
-      case MetricEntry::Type::kGauge:
-        AF_EXPECT(series == current->name, "prometheus: stray sample line");
-        current->value = parse_double(value);
-        break;
-      case MetricEntry::Type::kHistogram: {
-        const std::string bucket_prefix = current->name + "_bucket{le=\"";
-        if (series.rfind(bucket_prefix, 0) == 0) {
-          AF_EXPECT(series.size() > bucket_prefix.size() + 2 &&
-                        series.compare(series.size() - 2, 2, "\"}") == 0,
-                    "prometheus: malformed bucket label");
-          const std::string le = series.substr(
-              bucket_prefix.size(),
-              series.size() - bucket_prefix.size() - 2);
-          const std::uint64_t cumulative = parse_u64(value);
-          AF_EXPECT(cumulative >= previous_cumulative,
-                    "prometheus: bucket counts must be cumulative");
-          if (le == "+Inf") {
-            current->count = cumulative;
-            // The +Inf bucket tally is what lies above the last bound.
-            current->buckets.push_back(cumulative - previous_cumulative);
-          } else {
-            current->bounds.push_back(parse_double(le));
-            current->buckets.push_back(cumulative - previous_cumulative);
-          }
-          previous_cumulative = cumulative;
-        } else if (series == current->name + "_sum") {
-          current->value = parse_double(value);
-        } else if (series == current->name + "_count") {
-          AF_EXPECT(parse_u64(value) == current->count,
-                    "prometheus: _count disagrees with +Inf bucket");
-        } else {
-          AF_EXPECT(false, "prometheus: stray sample line '" + series + "'");
-        }
-        break;
-      }
-    }
-  }
-  return snap;
-}
-
 // ------------------------------------------------------------------- json
 
 void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
@@ -206,137 +97,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
     os << "}";
   }
   os << "\n  ]\n}\n";
-}
-
-namespace {
-
-/// Minimal JSON reader for exactly the shape write_json emits.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string text) : text_(std::move(text)) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\t' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    AF_EXPECT(pos_ < text_.size() && text_[pos_] == c,
-              std::string("json: expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (!peek_is(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"')
-      out.push_back(text_[pos_++]);
-    expect('"');
-    return out;
-  }
-
-  std::string number_token() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == 'i' ||
-            text_[pos_] == 'n' || text_[pos_] == 'f'))
-      ++pos_;
-    AF_EXPECT(pos_ > start, "json: expected a number");
-    return text_.substr(start, pos_ - start);
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-MetricsSnapshot parse_json(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  JsonCursor cur(buffer.str());
-
-  MetricsSnapshot snap;
-  cur.expect('{');
-  AF_EXPECT(cur.string() == "metrics", "json: expected \"metrics\" key");
-  cur.expect(':');
-  cur.expect('[');
-  if (!cur.consume(']')) {
-    do {
-      cur.expect('{');
-      MetricEntry e;
-      do {
-        const std::string key = cur.string();
-        cur.expect(':');
-        if (key == "name") {
-          e.name = cur.string();
-        } else if (key == "type") {
-          const std::string type = cur.string();
-          if (type == "counter") e.type = MetricEntry::Type::kCounter;
-          else if (type == "gauge") e.type = MetricEntry::Type::kGauge;
-          else if (type == "histogram") e.type = MetricEntry::Type::kHistogram;
-          else AF_EXPECT(false, "json: unsupported type '" + type + "'");
-        } else if (key == "help") {
-          e.help = cur.string();
-        } else if (key == "value") {
-          const std::string token = cur.number_token();
-          if (e.type == MetricEntry::Type::kCounter)
-            e.count = parse_u64(token);
-          else
-            e.value = parse_double(token);
-        } else if (key == "count") {
-          e.count = parse_u64(cur.number_token());
-        } else if (key == "sum") {
-          e.value = parse_double(cur.number_token());
-        } else if (key == "min") {
-          e.min = parse_double(cur.number_token());
-        } else if (key == "max") {
-          e.max = parse_double(cur.number_token());
-        } else if (key == "bounds") {
-          cur.expect('[');
-          if (!cur.consume(']')) {
-            do {
-              e.bounds.push_back(parse_double(cur.number_token()));
-            } while (cur.consume(','));
-            cur.expect(']');
-          }
-        } else if (key == "buckets") {
-          cur.expect('[');
-          if (!cur.consume(']')) {
-            do {
-              e.buckets.push_back(parse_u64(cur.number_token()));
-            } while (cur.consume(','));
-            cur.expect(']');
-          }
-        } else {
-          AF_EXPECT(false, "json: unexpected key '" + key + "'");
-        }
-      } while (cur.consume(','));
-      cur.expect('}');
-      snap.entries.push_back(std::move(e));
-    } while (cur.consume(','));
-    cur.expect(']');
-  }
-  cur.expect('}');
-  return snap;
 }
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {

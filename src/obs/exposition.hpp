@@ -1,13 +1,12 @@
-// Metric exposition: MetricsSnapshot <-> Prometheus text / JSON.
+// Metric exposition: MetricsSnapshot -> Prometheus text / JSON.
 //
-// Both writers are deterministic (metrics in schema order, doubles printed
-// with %.17g so they round-trip bit-exactly through strtod) and both have
-// matching parsers, so a scraped snapshot can be re-ingested — the
-// round-trip is covered by tests/obs_test.cpp. The formats target the two
-// consumers a serving deployment actually has: a Prometheus scraper
-// (`af_stats --format prometheus`) and structured tooling / dashboards
-// (`--format json`, which additionally carries the histogram min/max that
-// the Prometheus exposition format has no field for).
+// Both writers are deterministic: metrics in schema order, doubles printed
+// with %.17g, which strtod reads back bit-exactly (tests/obs_test.cpp pins
+// the text). They target the two consumers a serving deployment actually
+// has: a Prometheus scraper (`af_stats --format prometheus`) and structured
+// tooling / dashboards (`--format json`, which additionally carries the
+// histogram min/max that the Prometheus exposition format has no field
+// for). Nothing here reads either format back.
 #pragma once
 
 #include <iosfwd>
@@ -21,17 +20,9 @@ namespace airfinger::obs {
 /// `_bucket{le="..."}` series plus `_sum`/`_count` for histograms.
 void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot);
 
-/// Parses text produced by write_prometheus back into a snapshot. Not a
-/// general scrape parser: it accepts exactly the subset this repo emits
-/// and throws PreconditionError on anything else.
-MetricsSnapshot parse_prometheus(std::istream& is);
-
 /// JSON object {"metrics": [...]} with one entry per metric; histograms
-/// carry bounds/buckets/min/max, so parse_json(write_json(s)) == s.
+/// carry bounds/buckets/min/max, the whole snapshot.
 void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
-
-/// Parses JSON produced by write_json. Same contract as parse_prometheus.
-MetricsSnapshot parse_json(std::istream& is);
 
 /// Convenience string forms.
 std::string to_prometheus(const MetricsSnapshot& snapshot);

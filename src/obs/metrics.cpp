@@ -7,55 +7,47 @@
 
 namespace airfinger::obs {
 
-void MetricsSnapshot::add_from(const MetricsSnapshot& other) {
-  AF_EXPECT(entries.size() == other.entries.size(),
-            "snapshot aggregation requires identical schemas");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    MetricEntry& dst = entries[i];
-    const MetricEntry& src = other.entries[i];
-    AF_EXPECT(dst.type == src.type && dst.name == src.name &&
-                  dst.bounds == src.bounds,
-              "snapshot aggregation requires identical schemas (metric '" +
-                  dst.name + "')");
-    switch (dst.type) {
-      case MetricEntry::Type::kCounter:
-        dst.count = saturating_add(dst.count, src.count);
-        break;
-      case MetricEntry::Type::kGauge:
-        dst.value += src.value;
-        break;
-      case MetricEntry::Type::kHistogram:
-        if (src.count > 0) {
-          dst.min = dst.count > 0 ? std::min(dst.min, src.min) : src.min;
-          dst.max = dst.count > 0 ? std::max(dst.max, src.max) : src.max;
-        }
-        dst.count = saturating_add(dst.count, src.count);
-        dst.value += src.value;
-        for (std::size_t b = 0; b < dst.buckets.size(); ++b)
-          dst.buckets[b] = saturating_add(dst.buckets[b], src.buckets[b]);
-        break;
-    }
-  }
-}
-
 const MetricEntry* MetricsSnapshot::find(const std::string& name) const {
   for (const MetricEntry& e : entries)
     if (e.name == name) return &e;
   return nullptr;
 }
 
+struct Registry::Schema {
+  struct Metric {
+    MetricEntry::Type type;
+    std::uint32_t index;  ///< Within its kind: the metric's handle.
+    std::string name, help;
+  };
+  struct Histogram {
+    std::vector<double> bounds;  ///< Ascending finite upper bounds.
+    std::size_t first_bucket;    ///< Offset of its tallies in buckets_.
+  };
+  std::vector<Metric> metrics;  ///< Registration order.
+  std::vector<Histogram> histograms;
+};
+
+Registry::Schema& Registry::own_schema() {
+  if (!schema_) schema_ = std::make_shared<Schema>();
+  AF_EXPECT(schema_.use_count() == 1,
+            "register every metric before copying the registry");
+  return *schema_;
+}
+
 Registry::Handle Registry::counter(std::string name, std::string help) {
-  counters_.push_back({std::move(name), std::move(help), 0});
-  order_.push_back({MetricEntry::Type::kCounter,
-                    static_cast<std::uint32_t>(counters_.size() - 1)});
-  return static_cast<Handle>(counters_.size() - 1);
+  const auto h = static_cast<Handle>(counters_.size());
+  own_schema().metrics.push_back(
+      {MetricEntry::Type::kCounter, h, std::move(name), std::move(help)});
+  counters_.push_back(0);
+  return h;
 }
 
 Registry::Handle Registry::gauge(std::string name, std::string help) {
-  gauges_.push_back({std::move(name), std::move(help), 0.0});
-  order_.push_back({MetricEntry::Type::kGauge,
-                    static_cast<std::uint32_t>(gauges_.size() - 1)});
-  return static_cast<Handle>(gauges_.size() - 1);
+  const auto h = static_cast<Handle>(gauges_.size());
+  own_schema().metrics.push_back(
+      {MetricEntry::Type::kGauge, h, std::move(name), std::move(help)});
+  gauges_.push_back(0.0);
+  return h;
 }
 
 Registry::Handle Registry::histogram(std::string name, std::string help,
@@ -63,33 +55,36 @@ Registry::Handle Registry::histogram(std::string name, std::string help,
   AF_EXPECT(spec.buckets >= 2, "histogram needs at least two buckets");
   AF_EXPECT(spec.least > 0.0 && spec.most > spec.least,
             "histogram bounds must satisfy 0 < least < most");
-  HistogramState h;
-  h.name = std::move(name);
-  h.help = std::move(help);
-  h.bounds.resize(spec.buckets);
+  Schema::Histogram hist{std::vector<double>(spec.buckets), buckets_.size()};
   // Geometric series least..most inclusive: bound[i] = least * r^i with
   // r^(n-1) = most/least. The endpoints are pinned exactly so the schema
   // is reproducible from the spec alone.
   const double ratio = std::pow(spec.most / spec.least,
                                 1.0 / static_cast<double>(spec.buckets - 1));
   for (std::size_t i = 0; i < spec.buckets; ++i)
-    h.bounds[i] = spec.least * std::pow(ratio, static_cast<double>(i));
-  h.bounds.front() = spec.least;
-  h.bounds.back() = spec.most;
-  h.buckets.assign(spec.buckets + 1, 0);
-  histograms_.push_back(std::move(h));
-  order_.push_back({MetricEntry::Type::kHistogram,
-                    static_cast<std::uint32_t>(histograms_.size() - 1)});
-  return static_cast<Handle>(histograms_.size() - 1);
+    hist.bounds[i] = spec.least * std::pow(ratio, static_cast<double>(i));
+  hist.bounds.front() = spec.least;
+  hist.bounds.back() = spec.most;
+  const auto h = static_cast<Handle>(histograms_.size());
+  Schema& schema = own_schema();
+  schema.metrics.push_back(
+      {MetricEntry::Type::kHistogram, h, std::move(name), std::move(help)});
+  schema.histograms.push_back(std::move(hist));
+  histograms_.emplace_back();
+  buckets_.resize(buckets_.size() + spec.buckets + 1, 0);
+  return h;
 }
 
 void Registry::observe(Handle h, double v) {
-  HistogramState& hist = histograms_[h];
+  const Schema::Histogram& shape = schema_->histograms[h];
   // First finite bound whose value is >= v; +Inf bucket when none.
-  const auto it = std::lower_bound(hist.bounds.begin(), hist.bounds.end(), v);
-  const auto bucket =
-      static_cast<std::size_t>(it - hist.bounds.begin());
-  hist.buckets[bucket] = saturating_add(hist.buckets[bucket], 1);
+  const auto it =
+      std::lower_bound(shape.bounds.begin(), shape.bounds.end(), v);
+  std::uint64_t& tally =
+      buckets_[shape.first_bucket +
+               static_cast<std::size_t>(it - shape.bounds.begin())];
+  tally = saturating_add(tally, 1);
+  HistogramStats& hist = histograms_[h];
   hist.min = hist.count > 0 ? std::min(hist.min, v) : v;
   hist.max = hist.count > 0 ? std::max(hist.max, v) : v;
   hist.count = saturating_add(hist.count, 1);
@@ -97,83 +92,59 @@ void Registry::observe(Handle h, double v) {
 }
 
 void Registry::add_from(const Registry& other) {
-  AF_EXPECT(counters_.size() == other.counters_.size() &&
-                gauges_.size() == other.gauges_.size() &&
-                histograms_.size() == other.histograms_.size(),
-            "registry aggregation requires identical schemas");
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    AF_EXPECT(counters_[i].name == other.counters_[i].name,
-              "registry aggregation requires identical schemas (counter '" +
-                  counters_[i].name + "')");
-    counters_[i].value =
-        saturating_add(counters_[i].value, other.counters_[i].value);
-  }
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    AF_EXPECT(gauges_[i].name == other.gauges_[i].name,
-              "registry aggregation requires identical schemas (gauge '" +
-                  gauges_[i].name + "')");
-    gauges_[i].value += other.gauges_[i].value;
-  }
+  AF_EXPECT(schema_ == other.schema_,
+            "registry aggregation requires a shared schema");
+  for (std::size_t i = 0; i < counters_.size(); ++i)
+    counters_[i] = saturating_add(counters_[i], other.counters_[i]);
+  for (std::size_t i = 0; i < gauges_.size(); ++i)
+    gauges_[i] += other.gauges_[i];
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    HistogramState& dst = histograms_[i];
-    const HistogramState& src = other.histograms_[i];
-    AF_EXPECT(dst.name == src.name && dst.bounds == src.bounds,
-              "registry aggregation requires identical schemas (histogram '" +
-                  dst.name + "')");
+    HistogramStats& dst = histograms_[i];
+    const HistogramStats& src = other.histograms_[i];
     if (src.count > 0) {
       dst.min = dst.count > 0 ? std::min(dst.min, src.min) : src.min;
       dst.max = dst.count > 0 ? std::max(dst.max, src.max) : src.max;
     }
     dst.count = saturating_add(dst.count, src.count);
     dst.sum += src.sum;
-    for (std::size_t b = 0; b < dst.buckets.size(); ++b)
-      dst.buckets[b] = saturating_add(dst.buckets[b], src.buckets[b]);
   }
+  for (std::size_t b = 0; b < buckets_.size(); ++b)
+    buckets_[b] = saturating_add(buckets_[b], other.buckets_[b]);
 }
 
 void Registry::reset_values() {
-  for (auto& c : counters_) c.value = 0;
-  for (auto& g : gauges_) g.value = 0.0;
-  for (auto& h : histograms_) {
-    std::fill(h.buckets.begin(), h.buckets.end(), 0u);
-    h.count = 0;
-    h.sum = 0.0;
-    h.min = 0.0;
-    h.max = 0.0;
-  }
+  std::fill(counters_.begin(), counters_.end(), 0u);
+  std::fill(gauges_.begin(), gauges_.end(), 0.0);
+  std::fill(histograms_.begin(), histograms_.end(), HistogramStats{});
+  std::fill(buckets_.begin(), buckets_.end(), 0u);
 }
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
-  snap.entries.reserve(order_.size());
-  for (const Slot& slot : order_) {
+  if (!schema_) return snap;
+  snap.entries.reserve(schema_->metrics.size());
+  for (const Schema::Metric& m : schema_->metrics) {
     MetricEntry e;
-    e.type = slot.type;
-    switch (slot.type) {
-      case MetricEntry::Type::kCounter: {
-        const CounterState& c = counters_[slot.index];
-        e.name = c.name;
-        e.help = c.help;
-        e.count = c.value;
+    e.type = m.type;
+    e.name = m.name;
+    e.help = m.help;
+    switch (m.type) {
+      case MetricEntry::Type::kCounter:
+        e.count = counters_[m.index];
         break;
-      }
-      case MetricEntry::Type::kGauge: {
-        const GaugeState& g = gauges_[slot.index];
-        e.name = g.name;
-        e.help = g.help;
-        e.value = g.value;
+      case MetricEntry::Type::kGauge:
+        e.value = gauges_[m.index];
         break;
-      }
       case MetricEntry::Type::kHistogram: {
-        const HistogramState& h = histograms_[slot.index];
-        e.name = h.name;
-        e.help = h.help;
+        const Schema::Histogram& shape = schema_->histograms[m.index];
+        const HistogramStats& h = histograms_[m.index];
         e.count = h.count;
         e.value = h.sum;
         e.min = h.min;
         e.max = h.max;
-        e.bounds = h.bounds;
-        e.buckets = h.buckets;
+        e.bounds = shape.bounds;
+        const std::uint64_t* first = &buckets_[shape.first_bucket];
+        e.buckets.assign(first, first + shape.bounds.size() + 1);
         break;
       }
     }

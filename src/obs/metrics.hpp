@@ -4,10 +4,13 @@
 // construction time, which is the only moment it allocates) and then
 // recorded into through integer handles: `inc`, `set`, and `observe` are
 // array writes with no locks, no maps, and no heap traffic — safe on the
-// 0-allocs/frame serving hot path (DESIGN.md §11). Registries with the
-// same schema (same registration sequence) aggregate by index with
-// `add_from`, which is how MultiSessionHost folds N per-session registries
-// into one fleet view in deterministic session order.
+// 0-allocs/frame serving hot path (DESIGN.md §11). The schema (names, help
+// text, histogram bounds, registration order) is shared by every copy and
+// immutable once copied, so a registry holds only its values: a process
+// registers the session schema once and each session copies it.
+// Registries over the same schema aggregate by index with `add_from`,
+// which is how MultiSessionHost folds N per-session registries into one
+// fleet view in deterministic session order.
 //
 // Counters saturate at UINT64_MAX instead of wrapping: a fleet aggregate
 // over long-lived sessions must never report a small number because one
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,8 +58,6 @@ struct MetricEntry {
   double max = 0.0;                   ///< Histogram observed maximum.
   std::vector<double> bounds;         ///< Histogram finite upper bounds.
   std::vector<std::uint64_t> buckets; ///< bounds.size()+1 tallies (+Inf last).
-
-  bool operator==(const MetricEntry&) const = default;
 };
 
 /// A point-in-time copy of a registry (or an aggregate of several), ready
@@ -63,25 +65,22 @@ struct MetricEntry {
 struct MetricsSnapshot {
   std::vector<MetricEntry> entries;
 
-  /// Index-wise aggregation; schemas (name/type/bounds) must match.
-  void add_from(const MetricsSnapshot& other);
-
   /// Entry lookup by name (nullptr when absent).
   const MetricEntry* find(const std::string& name) const;
-
-  bool operator==(const MetricsSnapshot&) const = default;
 };
 
 /// The fixed-shape registry. Registration returns dense handles; the
-/// recording methods are bounds-checked array writes. Not thread-safe by
-/// design: each registry has exactly one writer (its Session), and
-/// aggregation reads happen between pump() rounds — the same single-writer
-/// discipline the rest of the per-session state already follows.
+/// recording methods are bounds-checked array writes. Copies share the
+/// schema and copy the values. Not thread-safe by design: each registry
+/// has exactly one writer (its Session), and aggregation reads happen
+/// between pump() rounds — the same single-writer discipline the rest of
+/// the per-session state already follows.
 class Registry {
  public:
   using Handle = std::uint32_t;
 
-  /// Registers a monotone counter. Only valid before the first snapshot.
+  /// Registers a monotone counter. Registration extends the schema, so it
+  /// throws PreconditionError once a copy shares it.
   Handle counter(std::string name, std::string help);
   /// Registers a gauge (a settable instantaneous value).
   Handle gauge(std::string name, std::string help);
@@ -90,74 +89,59 @@ class Registry {
 
   // ---------------------------------------------------------- hot path
   void inc(Handle h, std::uint64_t n = 1) {
-    auto& v = counters_[h].value;
+    auto& v = counters_[h];
     v = saturating_add(v, n);
   }
-  std::uint64_t counter_value(Handle h) const { return counters_[h].value; }
+  std::uint64_t counter_value(Handle h) const { return counters_[h]; }
 
   /// The storage of a counter's value, for a single writer that bumps its
   /// hottest counter through a pointer it keeps beside its other per-frame
   /// state (saturating_add, like inc()). Valid until the next registration
   /// (which may reallocate); moving the registry keeps it valid.
-  std::uint64_t* counter_cell(Handle h) { return &counters_[h].value; }
+  std::uint64_t* counter_cell(Handle h) { return &counters_[h]; }
 
-  void set(Handle h, double v) { gauges_[h].value = v; }
-  double gauge_value(Handle h) const { return gauges_[h].value; }
+  void set(Handle h, double v) { gauges_[h] = v; }
+  double gauge_value(Handle h) const { return gauges_[h]; }
 
   /// Records one observation into a histogram: binary search over the
   /// precomputed bounds, then four scalar updates. No allocation.
   void observe(Handle h, double v);
 
-  /// A histogram's finite upper bounds (registration shape; stable for
-  /// the registry's lifetime). Lets callers bucket a value themselves —
-  /// the trace layer keys its e2e exemplar table off this.
-  const std::vector<double>& histogram_bounds(Handle h) const {
-    return histograms_[h].bounds;
-  }
-
   // ------------------------------------------------------- aggregation
-  /// Adds every metric of `other` into this registry, index by index.
-  /// Requires an identical schema (registration sequence); throws
-  /// PreconditionError on any mismatch. Lock-free: plain reads of the
-  /// source and plain writes of the destination — callers serialize.
+  /// Adds every value of `other` into this registry, index by index.
+  /// Requires that both share one schema (both are copies of one
+  /// registry); throws PreconditionError otherwise. Lock-free and
+  /// allocation-free: plain reads of the source and plain writes of the
+  /// destination — callers serialize.
   void add_from(const Registry& other);
 
   /// Zeroes every counter, gauge, bucket, and histogram stat; the schema
   /// (and all storage) is retained.
   void reset_values();
 
-  /// Deep copy of the current values in registration order.
+  /// Deep copy of the schema and current values in registration order.
   MetricsSnapshot snapshot() const;
 
  private:
-  struct CounterState {
-    std::string name, help;
-    std::uint64_t value = 0;
-  };
-  struct GaugeState {
-    std::string name, help;
-    double value = 0.0;
-  };
-  struct HistogramState {
-    std::string name, help;
-    std::vector<double> bounds;          ///< Ascending finite upper bounds.
-    std::vector<std::uint64_t> buckets;  ///< bounds.size()+1 (+Inf last).
+  struct Schema;  // names, help, bounds and order (metrics.cpp)
+  struct HistogramStats {
     std::uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
   };
-  /// Registration order across all three kinds, so snapshots list metrics
-  /// in the order the schema declared them.
-  struct Slot {
-    MetricEntry::Type type;
-    std::uint32_t index;
-  };
 
-  std::vector<CounterState> counters_;
-  std::vector<GaugeState> gauges_;
-  std::vector<HistogramState> histograms_;
-  std::vector<Slot> order_;
+  /// The schema, for registration: created on first use, and checked to
+  /// be this registry's alone.
+  Schema& own_schema();
+
+  std::shared_ptr<Schema> schema_;  ///< Shared by copies; null when empty.
+  std::vector<std::uint64_t> counters_;
+  std::vector<double> gauges_;
+  std::vector<HistogramStats> histograms_;
+  /// Every histogram's tallies, concatenated in registration order: each
+  /// has bounds.size()+1 (+Inf last).
+  std::vector<std::uint64_t> buckets_;
 };
 
 }  // namespace airfinger::obs

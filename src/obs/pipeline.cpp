@@ -97,81 +97,84 @@ void EventRing::clear() {
   dropped_ = 0;
 }
 
-PipelineObservability::PipelineObservability(std::size_t ring_capacity)
-    : clock_(std::make_unique<MonotonicClock>()), ring_(ring_capacity) {
-  frames = registry_.counter("af_frames_total",
-                             "Frames accepted by push_frame");
-  events_detect = registry_.counter(
+namespace {
+
+/// Registers the session metric schema into `registry`.
+SessionMetricHandles register_session_metrics(Registry& registry) {
+  SessionMetricHandles h{};
+  h.frames = registry.counter("af_frames_total",
+                              "Frames accepted by push_frame");
+  h.events_detect = registry.counter(
       "af_events_detect_total", "Detect-gesture events emitted");
-  events_scroll = registry_.counter(
+  h.events_scroll = registry.counter(
       "af_events_scroll_total", "Completed scroll events emitted");
-  events_direction = registry_.counter(
+  h.events_direction = registry.counter(
       "af_events_direction_total", "Early scroll-direction events emitted");
-  events_rejected = registry_.counter(
+  h.events_rejected = registry.counter(
       "af_events_rejected_total", "Segments rejected as non-gestures");
-  segments_opened = registry_.counter(
+  h.segments_opened = registry.counter(
       "af_segments_opened_total", "Candidate segments opened");
-  segments_closed = registry_.counter(
+  h.segments_closed = registry.counter(
       "af_segments_closed_total", "Segments completed and decided");
-  segments_abandoned = registry_.counter(
+  h.segments_abandoned = registry.counter(
       "af_segments_abandoned_total", "Open segments abandoned (too short)");
-  non_finite_samples = registry_.counter(
+  h.non_finite_samples = registry.counter(
       "af_fault_non_finite_total", "NaN/Inf samples seen");
-  saturated_samples = registry_.counter(
+  h.saturated_samples = registry.counter(
       "af_fault_saturated_total", "Rail-saturated samples seen");
-  stuck_samples = registry_.counter(
+  h.stuck_samples = registry.counter(
       "af_fault_stuck_total", "Samples extending a frozen run");
-  quarantined_frames = registry_.counter(
+  h.quarantined_frames = registry.counter(
       "af_quarantined_frames_total", "Frames consumed while degraded");
-  quarantines = registry_.counter(
+  h.quarantines = registry.counter(
       "af_quarantines_total", "Healthy-to-quarantined transitions");
-  recalibrations = registry_.counter(
+  h.recalibrations = registry.counter(
       "af_recalibrations_total", "Quarantined-to-healthy recoveries");
-  segments_dropped = registry_.counter(
+  h.segments_dropped = registry.counter(
       "af_segments_dropped_total", "Open segments lost to quarantine");
-  quarantined =
-      registry_.gauge("af_quarantined", "1 while the stream is degraded");
-  artifact_impulse_suspect = registry_.counter(
+  h.quarantined =
+      registry.gauge("af_quarantined", "1 while the stream is degraded");
+  h.artifact_impulse_suspect = registry.counter(
       "af_artifact_impulse_suspect_total",
       "Samples whose derivative z crossed click_sigma (no action taken)");
-  artifact_impulsive_suspect = registry_.counter(
+  h.artifact_impulsive_suspect = registry.counter(
       "af_artifact_impulsive_suspect_total",
       "Frames with LPC-residual or kurtosis confidence at threshold");
-  artifact_tonal_suspect = registry_.counter(
+  h.artifact_tonal_suspect = registry.counter(
       "af_artifact_tonal_suspect_total",
       "Frames with spectral-flatness confidence at threshold");
-  artifact_impulse_detected = registry_.counter(
+  h.artifact_impulse_detected = registry.counter(
       "af_artifact_impulse_detected_total",
       "Impulse hold episodes started by the repair gate");
-  artifact_impulse_repaired = registry_.counter(
+  h.artifact_impulse_repaired = registry.counter(
       "af_artifact_impulse_repaired_total",
       "Impulse episodes repaired in place by interpolation");
-  artifact_repaired_frames = registry_.counter(
+  h.artifact_repaired_frames = registry.counter(
       "af_artifact_repaired_frames_total",
       "Frames rewritten by glitch repair");
-  artifact_crackle_detected = registry_.counter(
+  h.artifact_crackle_detected = registry.counter(
       "af_artifact_crackle_detected_total",
       "Crackle-train classifications");
-  artifact_step_detected = registry_.counter(
+  h.artifact_step_detected = registry.counter(
       "af_artifact_step_detected_total",
       "Zipper/step level-shift classifications");
-  artifact_drift_detected = registry_.counter(
+  h.artifact_drift_detected = registry.counter(
       "af_artifact_drift_detected_total",
       "Slow-baseline-drift classifications");
-  artifact_flicker_detected = registry_.counter(
+  h.artifact_flicker_detected = registry.counter(
       "af_artifact_flicker_detected_total",
       "Periodic ambient-flicker classifications");
-  artifact_quarantines = registry_.counter(
+  h.artifact_quarantines = registry.counter(
       "af_artifact_quarantines_total",
       "Quarantines entered via artifact escalation");
-  trace_dropped_ = registry_.counter(
+  h.trace_dropped = registry.counter(
       "af_trace_events_dropped_total",
       "Pipeline events evicted from the trace ring");
   // Stage latency histograms: 100 ns .. 1 s, log-spaced. 36 finite buckets
   // = ~5 per decade, enough to separate a 2 us ingest from a 200 us decide
   // without inflating the per-session footprint.
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    stage_hist_[s] = registry_.histogram(
+    h.stage_hist[s] = registry.histogram(
         std::string("af_stage_") + stage_name(static_cast<Stage>(s)) + "_ns",
         std::string("Nanoseconds spent in the ") +
             stage_name(static_cast<Stage>(s)) + " stage",
@@ -182,18 +185,37 @@ PipelineObservability::PipelineObservability(std::size_t ring_capacity)
   // the trace switch; the series only move when tracing records.
   // e2e spans 10 us (tick-clock replay) to 10 s (a live gesture's real
   // duration), log-spaced.
-  gesture_e2e_ = registry_.histogram(
+  h.gesture_e2e = registry.histogram(
       "af_gesture_e2e_seconds",
       "End-to-end first-frame-to-emission latency per gesture segment",
       HistogramSpec{1e-5, 10.0, 24});
-  traces_completed_ = registry_.counter(
+  h.traces_completed = registry.counter(
       "af_gesture_traces_total", "Gesture traces finalized");
-  traces_evicted_ = registry_.counter(
+  h.traces_evicted = registry.counter(
       "af_gesture_traces_dropped_total",
       "Completed gesture traces evicted from the per-session trace ring");
-  recorder_.resize_exemplars(
-      registry_.histogram_bounds(gesture_e2e_).size() + 1);
+  return h;
 }
+
+/// The session metric schema, registered once per process: the registry
+/// every PipelineObservability copies, and the handles into it.
+struct SessionSchema {
+  Registry registry;
+  SessionMetricHandles handles = register_session_metrics(registry);
+};
+
+const SessionSchema& session_schema() {
+  static const SessionSchema schema;
+  return schema;
+}
+
+}  // namespace
+
+PipelineObservability::PipelineObservability(std::size_t ring_capacity)
+    : SessionMetricHandles(session_schema().handles),
+      clock_(std::make_unique<MonotonicClock>()),
+      registry_(session_schema().registry),
+      ring_(ring_capacity) {}
 
 void PipelineObservability::set_clock(std::unique_ptr<Clock> clock) {
   AF_EXPECT(clock != nullptr, "observability clock must not be null");
@@ -216,7 +238,7 @@ void PipelineObservability::record(PipelineEvent::Kind kind,
   event.end = end;
   event.kind = kind;
   event.detail = detail;
-  if (!ring_.push(event)) registry_.inc(trace_dropped_);
+  if (!ring_.push(event)) registry_.inc(trace_dropped);
   if (trace_enabled_) route_trace(event);
 }
 
@@ -251,26 +273,17 @@ void PipelineObservability::route_trace(const PipelineEvent& e) {
       break;
     case PipelineEvent::Kind::kEmit: {
       const std::int64_t e2e = recorder_.note_emit(e.detail, e.frame, e.t_ns);
-      if (e2e >= 0) {
-        const double seconds = static_cast<double>(e2e) * 1e-9;
-        registry_.observe(gesture_e2e_, seconds);
-        const std::vector<double>& bounds =
-            registry_.histogram_bounds(gesture_e2e_);
-        const auto it =
-            std::lower_bound(bounds.begin(), bounds.end(), seconds);
-        if (const GestureTrace* done = recorder_.latest())
-          recorder_.set_exemplar(
-              static_cast<std::size_t>(it - bounds.begin()), done->trace_id);
-      }
+      if (e2e >= 0)
+        registry_.observe(gesture_e2e, static_cast<double>(e2e) * 1e-9);
       break;
     }
     default:
       break;
   }
   if (const std::uint64_t d = recorder_.completed_total() - completed_before)
-    registry_.inc(traces_completed_, d);
+    registry_.inc(traces_completed, d);
   if (const std::uint64_t d = recorder_.dropped() - evicted_before)
-    registry_.inc(traces_evicted_, d);
+    registry_.inc(traces_evicted, d);
 }
 
 void PipelineObservability::reset_values() {

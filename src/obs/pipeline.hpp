@@ -6,9 +6,11 @@
 // counters plus one log-spaced nanosecond histogram per pipeline stage),
 // and a fixed-capacity ring of structured pipeline events (segment
 // open/close/reject with reason, quarantine transitions, emissions) with a
-// dropped-event counter. Everything is preallocated at construction: the
-// recording paths are allocation-free, preserving the hot path's
-// 0-allocs/frame invariant with instrumentation enabled.
+// dropped-event counter. The metric schema is registered once per process;
+// each session copies that registry, so it shares the names, help text and
+// bounds and holds only values. Everything is preallocated at
+// construction: the recording paths are allocation-free, preserving the
+// hot path's 0-allocs/frame invariant with instrumentation enabled.
 //
 // Stage timing is captured by RAII Span objects. A per-object runtime
 // switch (`set_spans_enabled`) silences them, and the per-frame stages are
@@ -187,9 +189,51 @@ struct FrameSampler {
   }
 };
 
-/// The per-session observability bundle: clock + registry + event ring,
-/// with the session metric schema pre-registered and handles cached.
-class PipelineObservability {
+/// Handles into the session metric schema. Public on purpose: the session
+/// is the single writer and the handle table is the schema.
+struct SessionMetricHandles {
+  Registry::Handle frames;
+  Registry::Handle events_detect;
+  Registry::Handle events_scroll;
+  Registry::Handle events_direction;
+  Registry::Handle events_rejected;
+  Registry::Handle segments_opened;
+  Registry::Handle segments_closed;
+  Registry::Handle segments_abandoned;
+  Registry::Handle non_finite_samples;
+  Registry::Handle saturated_samples;
+  Registry::Handle stuck_samples;
+  Registry::Handle quarantined_frames;
+  Registry::Handle quarantines;
+  Registry::Handle recalibrations;
+  Registry::Handle segments_dropped;
+  Registry::Handle quarantined;  ///< Gauge: 1 while degraded.
+  // Graded artifact taxonomy (DESIGN.md §17). "suspect" counters are the
+  // false-alarm proxies: graded confidence crossed its threshold without any
+  // action being taken, so on clean traffic they measure the detector's
+  // false-positive pressure directly.
+  Registry::Handle artifact_impulse_suspect;   ///< Click z >= click_sigma.
+  Registry::Handle artifact_impulsive_suspect; ///< LPC/kurtosis conf >= 1.
+  Registry::Handle artifact_tonal_suspect;     ///< Flatness conf >= 1.
+  Registry::Handle artifact_impulse_detected;  ///< Hold episodes started.
+  Registry::Handle artifact_impulse_repaired;  ///< Episodes repaired in place.
+  Registry::Handle artifact_repaired_frames;   ///< Frames rewritten by repair.
+  Registry::Handle artifact_crackle_detected;
+  Registry::Handle artifact_step_detected;
+  Registry::Handle artifact_drift_detected;
+  Registry::Handle artifact_flicker_detected;
+  Registry::Handle artifact_quarantines;       ///< Quarantines via escalation.
+  Registry::Handle trace_dropped;     ///< af_trace_events_dropped_total.
+  std::array<Registry::Handle, kStageCount> stage_hist{};
+  Registry::Handle gesture_e2e;       ///< af_gesture_e2e_seconds.
+  Registry::Handle traces_completed;  ///< af_gesture_traces_total.
+  Registry::Handle traces_evicted;    ///< af_gesture_traces_dropped_total.
+};
+
+/// The per-session observability bundle: clock + registry + event ring.
+/// Its registry and handles are copies of the process's one session
+/// schema.
+class PipelineObservability : public SessionMetricHandles {
  public:
   explicit PipelineObservability(std::size_t ring_capacity = 256);
 
@@ -248,15 +292,11 @@ class PipelineObservability {
   void dump_postmortem_json(std::ostream& os) const { flight_.dump_json(os); }
 
   // ---------------------------------------------------------- recording
-  void observe_stage(Stage stage, std::uint64_t ns) {
-    registry_.observe(stage_hist_[static_cast<std::size_t>(stage)],
-                      static_cast<double>(ns));
-  }
-
   /// Span completion path: feeds the stage histogram and, when a gesture
   /// trace is live, appends the span to it.
   void observe_span(Stage stage, std::uint64_t t0_ns, std::uint64_t t1_ns) {
-    observe_stage(stage, t1_ns - t0_ns);
+    registry_.observe(stage_hist[static_cast<std::size_t>(stage)],
+                      static_cast<double>(t1_ns - t0_ns));
     if (trace_enabled_ && recorder_.active())
       recorder_.add_span(static_cast<std::uint8_t>(stage), t0_ns,
                          t1_ns - t0_ns);
@@ -267,41 +307,6 @@ class PipelineObservability {
   void record(PipelineEvent::Kind kind, std::uint64_t frame,
               std::uint64_t begin = 0, std::uint64_t end = 0,
               std::uint8_t detail = 0);
-
-  // Cached counter handles, incremented directly by the session. Public
-  // on purpose: the session is the single writer and the handle table is
-  // the schema.
-  Registry::Handle frames;
-  Registry::Handle events_detect;
-  Registry::Handle events_scroll;
-  Registry::Handle events_direction;
-  Registry::Handle events_rejected;
-  Registry::Handle segments_opened;
-  Registry::Handle segments_closed;
-  Registry::Handle segments_abandoned;
-  Registry::Handle non_finite_samples;
-  Registry::Handle saturated_samples;
-  Registry::Handle stuck_samples;
-  Registry::Handle quarantined_frames;
-  Registry::Handle quarantines;
-  Registry::Handle recalibrations;
-  Registry::Handle segments_dropped;
-  Registry::Handle quarantined;  ///< Gauge: 1 while degraded.
-  // Graded artifact taxonomy (DESIGN.md §17). "suspect" counters are the
-  // false-alarm proxies: graded confidence crossed its threshold without any
-  // action being taken, so on clean traffic they measure the detector's
-  // false-positive pressure directly.
-  Registry::Handle artifact_impulse_suspect;   ///< Click z >= click_sigma.
-  Registry::Handle artifact_impulsive_suspect; ///< LPC/kurtosis conf >= 1.
-  Registry::Handle artifact_tonal_suspect;     ///< Flatness conf >= 1.
-  Registry::Handle artifact_impulse_detected;  ///< Hold episodes started.
-  Registry::Handle artifact_impulse_repaired;  ///< Episodes repaired in place.
-  Registry::Handle artifact_repaired_frames;   ///< Frames rewritten by repair.
-  Registry::Handle artifact_crackle_detected;
-  Registry::Handle artifact_step_detected;
-  Registry::Handle artifact_drift_detected;
-  Registry::Handle artifact_flicker_detected;
-  Registry::Handle artifact_quarantines;       ///< Quarantines via escalation.
 
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
@@ -326,11 +331,6 @@ class PipelineObservability {
   EventRing ring_;
   TraceRecorder recorder_;
   FlightRecorder flight_;
-  std::array<Registry::Handle, kStageCount> stage_hist_{};
-  Registry::Handle trace_dropped_;
-  Registry::Handle gesture_e2e_;       ///< af_gesture_e2e_seconds.
-  Registry::Handle traces_completed_;  ///< af_gesture_traces_total.
-  Registry::Handle traces_evicted_;    ///< af_gesture_traces_dropped_total.
   FrameSampler& sampler() {
     return bound_sampler_ ? *bound_sampler_ : own_sampler_;
   }

@@ -149,10 +149,6 @@ const GestureTrace* TraceRecorder::latest() const {
   return &ring_[latest_index()];
 }
 
-void TraceRecorder::set_exemplar(std::size_t bucket, std::uint64_t trace_id) {
-  if (bucket < exemplars_.size()) exemplars_[bucket] = trace_id;
-}
-
 void TraceRecorder::clear() {
   head_ = 0;
   size_ = 0;
@@ -163,7 +159,6 @@ void TraceRecorder::clear() {
   closed_ = false;
   filtered_ = false;
   next_id_ = 1;
-  std::fill(exemplars_.begin(), exemplars_.end(), 0);
 }
 
 // --------------------------------------------------------------- flight

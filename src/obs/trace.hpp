@@ -9,7 +9,7 @@
 // probe → decide → features → forest → zebra) lands in the active trace,
 // emissions become instant markers, and the finalized trace carries the
 // end-to-end first-frame→emission latency that feeds the
-// `af_gesture_e2e_seconds` histogram (with exemplar trace ids per bucket).
+// `af_gesture_e2e_seconds` histogram.
 // Completed traces sit in a fixed-capacity overwrite-oldest ring per
 // session; everything here is preallocated at construction, so recording
 // preserves the hot path's 0-allocs/frame invariant.
@@ -170,17 +170,7 @@ class TraceRecorder {
   /// Most recently completed trace (nullptr when none retained).
   const GestureTrace* latest() const;
 
-  // ------------------------------------------------------------ exemplars
-  /// Sizes the exemplar table (one slot per e2e histogram bucket). Called
-  /// once by the owning PipelineObservability at construction.
-  void resize_exemplars(std::size_t buckets) { exemplars_.assign(buckets, 0); }
-  /// Remembers the finalized trace id for the bucket its e2e landed in
-  /// (last-wins), so tail-latency buckets carry a concrete trace to pull.
-  void set_exemplar(std::size_t bucket, std::uint64_t trace_id);
-  /// Per-bucket exemplar trace ids; 0 = no observation in that bucket.
-  const std::vector<std::uint64_t>& exemplars() const { return exemplars_; }
-
-  /// Drops all traces and restarts ids/exemplars (capacity retained) —
+  /// Drops all traces and restarts ids (capacity retained) —
   /// Session::reset() semantics. The stream id is configuration and stays.
   void clear();
 
@@ -199,7 +189,6 @@ class TraceRecorder {
   bool filtered_ = false;  ///< Close-to-emit window saw a filter reject.
   std::uint64_t next_id_ = 1;
   std::uint64_t stream_ = 0;
-  std::vector<std::uint64_t> exemplars_;
 };
 
 // --------------------------------------------------------------- export

@@ -289,6 +289,8 @@ TEST(HostSharding, AddAndRemoveSessionsBetweenEpochs) {
 
   // Retire lane 0: the index stays valid, its final counters survive.
   const std::uint64_t frames_before = host.aggregate_health().frames;
+  const obs::MetricsSnapshot lane0 =
+      host.session(0).observability().registry().snapshot();
   host.remove_session(0);
   EXPECT_TRUE(host.session_retired(0));
   EXPECT_FALSE(host.session_retired(1));
@@ -299,7 +301,7 @@ TEST(HostSharding, AddAndRemoveSessionsBetweenEpochs) {
   EXPECT_EQ(host.rejected_frames(0), 1u);
   EXPECT_TRUE(host.feed(1, frame));  // live lanes are untouched
 
-  // Aggregates still cover the retired lane via its captured snapshot.
+  // Aggregates still cover the retired lane via its final registry.
   EXPECT_EQ(host.aggregate_health().frames, frames_before + 1);
   const obs::MetricsSnapshot metrics = host.aggregate_metrics();
   EXPECT_EQ(metrics.find("af_host_sessions")->value, 3.0);
@@ -308,6 +310,28 @@ TEST(HostSharding, AddAndRemoveSessionsBetweenEpochs) {
   EXPECT_EQ(metrics.find("af_host_frames_processed_total")->count,
             traces[0].sample_count() + traces[1].sample_count() +
                 traces[2].sample_count() + 1);
+  // The session series are the sums of the retired lane's final registry
+  // and the live lanes' registries.
+  const obs::MetricsSnapshot live[] = {
+      host.session(1).observability().registry().snapshot(),
+      host.session(2).observability().registry().snapshot()};
+  for (const char* name : {"af_frames_total", "af_segments_opened_total",
+                           "af_stage_decide_ns"}) {
+    SCOPED_TRACE(name);
+    obs::MetricEntry sum = *lane0.find(name);
+    EXPECT_GT(sum.count, 0u);
+    for (const obs::MetricsSnapshot& lane : live) {
+      const obs::MetricEntry& e = *lane.find(name);
+      sum.count += e.count;
+      sum.value += e.value;
+      for (std::size_t b = 0; b < sum.buckets.size(); ++b)
+        sum.buckets[b] += e.buckets[b];
+    }
+    const obs::MetricEntry& total = *metrics.find(name);
+    EXPECT_EQ(total.count, sum.count);
+    EXPECT_EQ(total.value, sum.value);
+    EXPECT_EQ(total.buckets, sum.buckets);
+  }
 
   // The still-live lanes drain their full event streams.
   host.pump();

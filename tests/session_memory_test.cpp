@@ -5,7 +5,9 @@
 // the session keeps no ΔRSS² beyond the open segment. So after a warm-up
 // replay has sized the thread's arena, a fresh Session that replays a
 // recording holds less than a fixed ceiling, and a second replay after
-// reset() touches the heap not at all.
+// reset() touches the heap not at all. The metric schema is the process's,
+// so a Session copies only metric values, and the host sums its lanes'
+// registries in place.
 //
 // This binary replaces the global allocation functions, so it is built
 // alone and links nothing that replaces them too.
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/multi_session_host.hpp"
 #include "core/session.hpp"
 #include "core/trainer.hpp"
 #include "synth/dataset.hpp"
@@ -111,11 +114,17 @@ namespace airfinger {
 namespace {
 
 /// Live-heap ceiling for one Session after replaying the fixture stream:
-/// about 10% above the 92,656 bytes it holds on x86-64 Linux with glibc
+/// about 10% above the 78,664 bytes it holds on x86-64 Linux with glibc
 /// (observability, segmenter calibration ring, open-segment view, timing
 /// cache). A session that kept a whole-stream ΔRSS² copy or its own
-/// scratch arena would hold well over 100 KiB more.
-constexpr std::int64_t kSessionHeapCeiling = 100 * 1024;
+/// scratch arena would hold well over 100 KiB more, and one that
+/// registered its own copy of the metric schema about 9 KB more.
+constexpr std::int64_t kSessionHeapCeiling = 85 * 1024;
+
+/// Allocation ceiling for constructing a Session once the process's metric
+/// schema exists: about 10% above the 17 it makes on x86-64 Linux with
+/// glibc. A Session that registered its own schema made 129.
+constexpr std::uint64_t kSessionConstructAllocCeiling = 19;
 
 struct Fixture {
   std::shared_ptr<const core::ModelBundle> bundle;
@@ -183,6 +192,29 @@ TEST(SessionMemory, LiveHeapStaysUnderCeiling) {
   EXPECT_LT(held, kSessionHeapCeiling)
       << "a Session holds " << held << " heap bytes after replaying "
       << fx.stream.trace.sample_count() << " frames";
+}
+
+TEST(SessionMemory, ConstructionCopiesOnlyMetricValues) {
+  const Fixture& fx = fixture();
+  core::Session first(fx.bundle);  // the process's schema exists from here
+  const std::uint64_t before = g_allocations.load();
+  core::Session second(fx.bundle);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  RecordProperty("session_construct_allocations", std::to_string(allocations));
+  EXPECT_LT(allocations, kSessionConstructAllocCeiling);
+}
+
+TEST(SessionMemory, HostAggregationAllocationsDoNotGrowWithLanes) {
+  const Fixture& fx = fixture();
+  const auto aggregate_allocations = [&fx](std::size_t lanes) {
+    core::MultiSessionHost host(fx.bundle, lanes, core::FaultPolicy{},
+                                core::HostConfig{.shards = 1});
+    host.remove_session(1);  // a retired lane adds its final registry
+    const std::uint64_t before = g_allocations.load();
+    host.aggregate_metrics();
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(aggregate_allocations(4), aggregate_allocations(64));
 }
 
 TEST(SessionMemory, ReplayAfterResetAllocatesNothing) {

@@ -148,17 +148,12 @@ TEST(TraceRouting, RecordedLifecycleDrivesTheActiveTrace) {
   EXPECT_EQ(t.decide_span_count, 1u);  // decide
   EXPECT_GT(t.t_emit_ns, t.t_open_ns);
 
-  // The finalizing emission observed the e2e histogram and left an
-  // exemplar trace id in the bucket its latency landed in.
+  // The finalizing emission observed the e2e histogram.
   const auto snap = obs.registry().snapshot();
   const auto* e2e = snap.find("af_gesture_e2e_seconds");
   ASSERT_NE(e2e, nullptr);
   EXPECT_EQ(e2e->count, 1u);
   EXPECT_EQ(snap.find("af_gesture_traces_total")->count, 1u);
-  std::uint64_t exemplar = 0;
-  for (const std::uint64_t id : obs.tracer().exemplars())
-    if (id != 0) exemplar = id;
-  EXPECT_EQ(exemplar, t.trace_id);
 }
 
 TEST(TraceRouting, RuntimeDisabledRecorderStaysSilent) {

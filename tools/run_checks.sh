@@ -127,13 +127,10 @@ rm -f "${ROBUST_OUT}"
 echo "== bench smoke: BM_HostRoundRobin (cold per-stream state) =="
 # A short run of the round-robin host benchmark and the hot-session one it
 # is read against (DESIGN.md §19): it must build and run; the timings are
-# reported, not gated. The binary writes its thread-scaling JSON into the
-# working directory, so it runs in a throwaway one.
-MICRO_DIR="$(mktemp -d /tmp/af_micro.XXXXXX)"
-(cd "${MICRO_DIR}" && "${BUILD}/bench/bench_micro_pipeline" \
+# reported, not gated.
+"${BUILD}/bench/bench_micro_pipeline" \
   --benchmark_filter='BM_EnginePushFrame|BM_HostRoundRobin' \
-  --benchmark_min_time=0.05)
-rm -rf "${MICRO_DIR}"
+  --benchmark_min_time=0.05
 
 echo "== tsan: race-check the concurrency contract =="
 "${ROOT}/tools/run_tsan.sh" "${BUILD}/aux/tsan"
